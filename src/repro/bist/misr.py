@@ -12,8 +12,10 @@ all distribute over XOR).  The batched signature oracle of
 every absorbed input bit to the final signature is a fixed vector, so a
 fault's signature can be derived from the fault-free one by XOR-ing the
 weights of the read bits it corrupts.  :func:`absorb_weight_table` and
-:func:`fold_table` precompute those vectors; :func:`signature_of_stream`
-produces the fault-free anchor in one optimized pass.
+:func:`fold_table` precompute those vectors, :func:`absorb_row_table`
+their per-input transpose for the packed class kernels;
+:func:`signature_of_stream` produces the fault-free anchor in one
+optimized pass.
 """
 
 from __future__ import annotations
@@ -168,4 +170,35 @@ def absorb_weight_table(
                 ((x << 1) & mask) | ((x & taps).bit_count() & 1)
                 for x in current
             )
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=32)
+def absorb_row_table(n_inputs: int, width: int) -> tuple[int, ...]:
+    """Transpose of :func:`absorb_weight_table`, input by input, packed.
+
+    Row *m* of entry *k* sits at bits ``m*width`` up to
+    ``(m+1)*width`` of ``rows[k]``: its bit ``c`` is set iff bit ``m``
+    of ``absorb_weight_table(n_inputs, width)[k][c]`` is set, i.e. the
+    folded input bits of the *k*-th absorbed word that flip signature
+    bit *m*.  The packed session kernels of :mod:`repro.engine.batch`
+    lay these rows out as per-signature-bit weight planes.
+
+    Built without transposing anything: row ``r`` of ``A**t`` times
+    ``A`` is ``(r >> 1) ^ (taps if r & 1 else 0)``, because ``A``
+    shifts bit ``i - 1`` into bit ``i`` and feeds the tap parity into
+    bit 0 — applied here to all *width* rows of one entry at once.
+    One int per entry keeps the table as small as the stream.
+    """
+    if n_inputs < 0:
+        raise ValueError("n_inputs must be >= 0")
+    taps = tap_mask(width)
+    row_mask = (1 << width) - 1
+    lows = sum(1 << (m * width) for m in range(width))  # bit 0 of each row
+    shifted = (row_mask >> 1) * lows  # bits that survive ``r >> 1``
+    table = [0] * n_inputs
+    current = sum(1 << (m * width + m) for m in range(width))  # A**0
+    for k in range(n_inputs - 1, -1, -1):
+        table[k] = current
+        current = ((current >> 1) & shifted) ^ ((current & lows) * taps)
     return tuple(table)

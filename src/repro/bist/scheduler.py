@@ -24,6 +24,7 @@ from typing import Callable, Iterator
 
 from ..core.march import MarchTest
 from ..core.signature import prediction_test
+from ..engine.base import ExecutionError
 from ..memory.model import Memory
 from ..memory.traces import AccessEvent
 from .misr import Misr
@@ -124,7 +125,7 @@ class SessionStepper:
 
     def _phase(self, test: MarchTest, predicting: bool) -> Iterator[None]:
         width = self.memory.width
-        for element in test.elements:
+        for element_index, element in enumerate(test.elements):
             resolved = [(op, op.data.mask.resolve(width)) for op in element.ops]
             for addr in element.order.addresses(self.memory.n_words):
                 last_raw = last_mask = None
@@ -147,7 +148,13 @@ class SessionStepper:
                         last_raw, last_mask = raw, mask_value
                     else:
                         if op.is_relative:
-                            assert last_raw is not None and last_mask is not None
+                            if last_raw is None:
+                                raise ExecutionError(
+                                    f"{test.name}: transparent write {op} at "
+                                    f"element {element_index} has no preceding "
+                                    "read in its element-visit; the BIST "
+                                    "datapath cannot derive its data"
+                                )
                             value = last_raw ^ last_mask ^ mask_value
                         else:
                             value = mask_value
@@ -177,11 +184,6 @@ class SessionStepper:
         else:
             return done
         return done
-
-
-# Historical private name, kept for callers written before the stepper
-# became part of the public scheduling surface.
-_SessionStepper = SessionStepper
 
 
 class OnlineTestScheduler:

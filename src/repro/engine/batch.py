@@ -53,6 +53,15 @@ test-phase leg of it also compares every support read against its
 session-snapshot expected value, yielding the alias-free stream
 verdict next to the signature verdict at no extra pass.
 
+At the class level (:meth:`BatchEngine.detect_class_aliasing_batch`,
+whose ``.signature`` plane is
+:meth:`BatchEngine.detect_class_signature_batch`) the cell and
+intra-word CF classes skip the per-fault replay altogether: one packed
+pass per compare-kernel hypothesis runs both phases and accumulates
+``err & W[m]`` into bit-sliced signature-delta planes, ``W[m]`` being
+the weights' bit ``m`` laid out at every read's cell positions (see
+:class:`_SessionBlock`).
+
 Single executions (:meth:`BatchEngine.run`) use the reference
 interpreter unchanged: the batch acceleration is campaign-level.
 """
@@ -78,11 +87,12 @@ from ..memory.injection import (
     ReadDisturbClass,
     StuckAtClass,
     TransitionClass,
+    cf_variant_params,
 )
 from .base import Engine, ExecutionError, ReadSink, RunResult, register_engine
 from .program import MarchProgram, pack_words, replicate_mask
 from .reference import execute_program
-from .verdicts import PackedVerdicts
+from .verdicts import PackedPairVerdicts, PackedVerdicts
 
 
 class BatchEngine(Engine):
@@ -317,6 +327,62 @@ class BatchEngine(Engine):
             )
         return [ctx.detect_pair(fault) for fault in faults]
 
+    def detect_class_signature_batch(
+        self,
+        test,
+        prediction,
+        n_words: int,
+        width: int,
+        words: Sequence[int],
+        faults: Sequence[Fault],
+        *,
+        misr_width: int = 16,
+        misr_seed: int = 0,
+        context: "_SignatureContext | None" = None,
+    ) -> PackedVerdicts:
+        """Signature-oracle verdicts of a whole fault class: the
+        ``.signature`` plane of the packed session kernels behind
+        :meth:`detect_class_aliasing_batch`, or, for inputs they do
+        not cover, the cheaper signature-only per-fault replay."""
+        ctx = self._session_context(
+            test, prediction, n_words, width, words, misr_width, misr_seed,
+            context,
+        )
+        if ctx is None:
+            return super().detect_class_signature_batch(
+                test, prediction, n_words, width, words, faults,
+                misr_width=misr_width, misr_seed=misr_seed,
+            )
+        return ctx.detect_class(faults)
+
+    def detect_class_aliasing_batch(
+        self,
+        test,
+        prediction,
+        n_words: int,
+        width: int,
+        words: Sequence[int],
+        faults: Sequence[Fault],
+        *,
+        misr_width: int = 16,
+        misr_seed: int = 0,
+        context: "_SignatureContext | None" = None,
+    ) -> PackedPairVerdicts:
+        """Aliasing-oracle pair verdicts of a whole fault class, from
+        the packed session kernels when *faults* is a streaming cell or
+        intra-word CF class of this session's geometry, per fault
+        otherwise."""
+        ctx = self._session_context(
+            test, prediction, n_words, width, words, misr_width, misr_seed,
+            context,
+        )
+        if ctx is None:
+            return super().detect_class_aliasing_batch(
+                test, prediction, n_words, width, words, faults,
+                misr_width=misr_width, misr_seed=misr_seed,
+            )
+        return ctx.detect_class_pair(faults)
+
     def _session_context(
         self, test, prediction, n_words, width, words, misr_width, misr_seed,
         context,
@@ -529,14 +595,7 @@ class _CampaignContext:
         """
         aggr_lane = self._bit_lane(a_bit)
         shift = v_bit - a_bit
-        rising = x = y = False
-        if cf_kind == "CFst":
-            y, x = divmod(variant, 2)
-        elif cf_kind == "CFid":
-            half, x = divmod(variant, 2)
-            rising = half == 0
-        else:
-            rising = variant == 0
+        x, y, rising = cf_variant_params(cf_kind, variant)
 
         def enforce(state: int) -> int:
             cond = (state & aggr_lane) if y else (~state & aggr_lane)
@@ -960,16 +1019,37 @@ class _SignatureContext:
     ``sig_faulty == sig_fault_free XOR delta`` where ``delta`` XORs the
     precomputed linear weight of every read *bit* the fault corrupts
     (:func:`repro.bist.misr.absorb_weight_table`).  The fault-free
-    streams and weights are computed once; each fault then costs one
-    O(op_count) subset replay of both phases.
+    streams, weights and signature gap are computed once per context.
 
-    The same replay answers the *aliasing* oracle (:meth:`detect_pair`)
-    for free: the test-phase stream verdict is whether any replayed
-    read at a support word disagrees with its session-snapshot expected
-    value, OR-ed with the recorded fault-free mismatch behaviour of the
-    words the fault cannot influence (non-empty only for ill-formed
-    tests).  No second replay is needed for the pair.
+    Two evaluation paths share that state:
+
+    * **Packed session kernels** (:meth:`detect_class`,
+      :meth:`detect_class_pair`) answer a whole streaming SAF, TF,
+      RDF/DRDF or intra-word CFst/CFid/CFin class of this geometry in a
+      few packed passes — one per fault hypothesis placed at every cell
+      (or in every word lane) at once, through both phases on one
+      continuing state.  Each read's error plane is AND-ed with
+      per-signature-bit weight planes and XOR-accumulated, so a whole
+      class costs ``passes x reads x misr_width`` big-int operations.
+      The planes are built lazily per block of :attr:`block_words`
+      words (see :class:`_SessionBlock`).
+    * **Per-fault subset replay** (:meth:`detect`, :meth:`detect_pair`)
+      covers everything else — AF and inter-word CF classes,
+      materialized lists, classes of another geometry — at one
+      O(op_count) replay of both phases over the fault's support words
+      per fault; unknown fault kinds run the full two-phase session.
+
+    Both paths answer the *aliasing* oracle from the same evaluation as
+    the signature: the test-phase stream verdict is whether any read
+    the fault can influence disagrees with its session-snapshot
+    expected value, OR-ed with the recorded fault-free mismatch
+    behaviour of the reads it cannot (non-empty only for ill-formed
+    tests).
     """
+
+    #: Words per packed-kernel block: bounds the weight planes a context
+    #: holds to ``reads x misr_width`` planes of this many words.
+    block_words = 1024
 
     def __init__(
         self,
@@ -1044,6 +1124,98 @@ class _SignatureContext:
         self.prediction_weights = absorb_weight_table(n_pred, misr_width)
         self.test_weights = absorb_weight_table(n_test, misr_width)
         self.fold_positions = fold_table(self.width, misr_width)
+        self._block: _SessionBlock | None = None
+
+    # -- class-level dispatch ------------------------------------------
+    def detect_class(self, fault_class: Sequence[Fault]) -> PackedVerdicts:
+        """Packed signature verdicts of one fault class: the packed
+        session kernels where they apply, the per-fault replay
+        otherwise."""
+        packed = self._packed_class(fault_class)
+        if packed is not None:
+            return packed.signature
+        return PackedVerdicts.from_bools(
+            self.detect(fault) for fault in fault_class
+        )
+
+    def detect_class_pair(
+        self, fault_class: Sequence[Fault]
+    ) -> PackedPairVerdicts:
+        """Packed ``(stream, signature)`` verdicts of one fault class,
+        with the same packed-or-per-fault routing as
+        :meth:`detect_class`."""
+        packed = self._packed_class(fault_class)
+        if packed is not None:
+            return packed
+        return PackedPairVerdicts.from_pairs(
+            self.detect_pair(fault) for fault in fault_class
+        )
+
+    def _packed_class(
+        self, fault_class: Sequence[Fault]
+    ) -> PackedPairVerdicts | None:
+        """Both verdict planes of a class the packed session kernels
+        cover, or ``None``.
+
+        Covered: streaming SAF, TF, RDF/DRDF and intra-word CF classes
+        at exactly this context's geometry.  Every such fault is
+        confined to one word, so each block of words is evaluated on
+        its own and the block planes are shifted into place.
+        """
+        n, w = self.n_words, self.width
+        if not (
+            isinstance(fault_class, FaultClass)
+            and fault_class.n_words == n
+            and fault_class.width == w
+        ):
+            return None
+        lanes = False
+        if isinstance(fault_class, StuckAtClass):
+            hypotheses = [("SAF", 0), ("SAF", 1)]
+        elif isinstance(fault_class, TransitionClass):
+            hypotheses = [("TF", True), ("TF", False)]
+        elif isinstance(fault_class, ReadDisturbClass):
+            hypotheses = [("RDF", fault_class.deceptive)]
+        elif isinstance(fault_class, IntraWordCFClass) and w > 1:
+            lanes = True
+            hypotheses = [
+                (fault_class.cf_kind, *fault_class.pair_bits(pair), variant)
+                for pair in range(fault_class.n_pairs)
+                for variant in range(fault_class.variants)
+            ]
+        else:
+            return None
+        stream = [0] * len(hypotheses)
+        signature = [0] * len(hypotheses)
+        for lo in range(0, n, self.block_words):
+            block = self._session_block(lo)
+            run = block.coupling if lanes else block.cell
+            offset = lo * w
+            for i, hypothesis in enumerate(hypotheses):
+                hit_stream, hit_signature = run(*hypothesis)
+                stream[i] |= hit_stream << offset
+                signature[i] |= hit_signature << offset
+        geometry = {
+            "stride": len(hypotheses),
+            "slot_stride": w if lanes else 1,
+        }
+        return PackedPairVerdicts(
+            PackedVerdicts(len(fault_class), stream, **geometry),
+            PackedVerdicts(len(fault_class), signature, **geometry),
+        )
+
+    def _session_block(self, lo: int) -> "_SessionBlock":
+        """The packed-kernel planes of the block starting at word *lo*.
+        Only the most recent block is kept, so a context holds one
+        block's planes however large the memory is; a memory of one
+        block builds them once."""
+        block = self._block
+        if block is None or block.lo != lo:
+            block = _SessionBlock(
+                self, lo, min(lo + self.block_words, self.n_words)
+            )
+            self._block = block
+        return block
 
     # -- per-fault dispatch --------------------------------------------
     def detect(self, fault: Fault) -> bool:
@@ -1196,6 +1368,230 @@ class _SignatureContext:
             test_run.n_mismatches > 0,
             predict_misr.signature != test_misr.signature,
         )
+
+
+class _SessionBlock:
+    """Packed session-kernel planes of words ``[lo, hi)`` of one
+    :class:`_SignatureContext`.
+
+    Lane ``i`` of every plane (bits ``i*width`` up to ``(i+1)*width``)
+    is word ``lo + i``.  Each phase keeps one step per program op,
+    ``(is_read, relative, mask plane, weight planes, fault-free raw
+    plane)``:
+
+    * a read's *fault-free raw plane* is the block's packed fault-free
+      state at that read (fault-free words never interact);
+    * its *weight planes* ``W[m]`` have bit ``i*width + b`` set iff bit
+      ``m`` of ``weights[k][fold[b]]`` is set, where ``k = base_e +
+      position(lo + i) * reads_e + j`` is the stream index
+      :meth:`_SignatureContext._phase_delta` gives this read of word
+      ``lo + i``.
+
+    A hypothesis pass (:meth:`cell`, :meth:`coupling`) runs both
+    phases on one continuing state and XOR-accumulates ``err & W[m]``
+    into ``misr_width`` delta planes, ``err`` being the hypothesis'
+    read plane XOR the fault-free one.  The prediction and test deltas
+    share the planes, so a hypothesis detects iff its delta differs
+    from the fault-free signature gap.  Only word-confined hypotheses
+    run here, so a block never needs any word outside it.
+    """
+
+    def __init__(self, ctx: _SignatureContext, lo: int, hi: int) -> None:
+        from ..bist.misr import absorb_row_table
+
+        n, w = ctx.n_words, ctx.width
+        size = hi - lo
+        misr_width = ctx.misr_width
+        word_mask = ctx.test.word_mask
+        self.lo = lo
+        self.width = w
+        self.size = size
+        self.full = full = (1 << (size * w)) - 1
+        self.packed = pack_words(ctx.words[lo:hi], w)
+        self.lane0 = lane0 = replicate_mask(1, size, w)
+        self._folds = [  # (shift, lane mask) of each lane-fold step
+            (shift, replicate_mask((1 << (w - shift)) - 1, size, w))
+            for shift in (1 << i for i in range((w - 1).bit_length()))
+        ]
+        # Input bit b folds onto register bit b % misr_width, so a row
+        # of register-bit weights repeats every misr_width word bits.
+        spread = sum(1 << start for start in range(0, w, misr_width))
+        row_mask = (1 << misr_width) - 1
+        state = snap = self.packed
+        ff_mismatch = 0
+        phases = []
+        for testing, (program, stream) in enumerate((
+            (ctx.prediction, ctx.prediction_raw),
+            (ctx.test, ctx.test_raw),
+        )):
+            rows = absorb_row_table(len(stream), misr_width)
+            steps = []
+            base = 0
+            for element in program.elements:
+                n_reads = element.n_reads
+                if element.descending:
+                    k, stride = base + (n - 1 - lo) * n_reads, -n_reads
+                else:
+                    k, stride = base + lo * n_reads, n_reads
+                last_raw = last_mask = 0
+                for is_read, relative, mask, _ok in element.steps:
+                    mrep = replicate_mask(mask, size, w)
+                    if not is_read:
+                        state = (
+                            (last_raw ^ last_mask ^ mrep) if relative else mrep
+                        )
+                        steps.append((False, relative, mrep, None, None))
+                        continue
+                    block_rows = [
+                        rows[index]
+                        for index in range(k, k + stride * size, stride)
+                    ]
+                    weights = tuple(
+                        pack_words(
+                            [
+                                (((row >> at) & row_mask) * spread) & word_mask
+                                for row in block_rows
+                            ],
+                            w,
+                        )
+                        for at in range(0, misr_width * misr_width, misr_width)
+                    )
+                    steps.append((True, relative, mrep, weights, state))
+                    if testing:
+                        ff_mismatch |= state ^ (
+                            (snap ^ mrep) if relative else mrep
+                        )
+                    last_raw, last_mask = state, mrep
+                    k += 1
+                base += n_reads * n
+            phases.append(tuple(steps))
+        self.phases = tuple(phases)
+
+        gap = ctx.fault_free_gap
+        bits = [(gap >> m) & 1 for m in range(misr_width)]
+        self.gap_cells = [full if bit else 0 for bit in bits]
+        self.gap_lanes = [lane0 if bit else 0 for bit in bits]
+        # Fault-free test-phase mismatches the hypothesis cannot change:
+        # for a cell, those of the other bits of its word and of every
+        # other word; for a word lane, those of every other word.
+        mismatch_addrs = ctx.test_mismatch_addrs
+        if not mismatch_addrs:
+            self.outside_cells = self.outside_lanes = 0
+        elif len(mismatch_addrs) > 1 or not lo <= min(mismatch_addrs) < hi:
+            self.outside_cells, self.outside_lanes = full, lane0
+        else:
+            offset = (min(mismatch_addrs) - lo) * w
+            own = (ff_mismatch >> offset) & word_mask
+            outside = full & ~(word_mask << offset)
+            for bit in range(w):
+                if own & ~(1 << bit):
+                    outside |= 1 << (offset + bit)
+            self.outside_cells = outside
+            self.outside_lanes = lane0 & ~(1 << offset)
+
+    def _run(self, state, store, disturb=None) -> tuple[list[int], int]:
+        """One hypothesis pass over both phases from the loaded *state*
+        (the session snapshot).  ``store(old, value)`` is the stored
+        plane of a write (``None``: fault-free); *disturb* selects the
+        read-disturb read (``True`` deceptive).  Returns the delta
+        planes and the test-phase mismatch plane."""
+        full = self.full
+        snap = state
+        delta = [0] * len(self.gap_cells)
+        mismatch = 0
+        last_raw = last_mask = 0
+        for testing, steps in enumerate(self.phases):
+            for is_read, relative, mrep, weights, fault_free in steps:
+                if is_read:
+                    raw = state
+                    if disturb is not None:
+                        if not disturb:
+                            raw ^= full
+                        state ^= full
+                    err = raw ^ fault_free
+                    if err:
+                        delta = [d ^ (err & wp) for d, wp in zip(delta, weights)]
+                    if testing:
+                        mismatch |= raw ^ ((snap ^ mrep) if relative else mrep)
+                    last_raw, last_mask = raw, mrep
+                else:
+                    value = (last_raw ^ last_mask ^ mrep) if relative else mrep
+                    state = value if store is None else store(state, value)
+        return delta, mismatch
+
+    def cell(self, kind: str, variant) -> tuple[int, int]:
+        """``(stream, signature)`` planes of a SAF (*variant* = stuck
+        value), TF (rising) or RDF (deceptive) at every cell at once,
+        one bit per cell."""
+        store = disturb = None
+        state = self.packed
+        if kind == "SAF":
+            forced = state = self.full if variant else 0
+
+            def store(_old, _value):
+                return forced
+        elif kind == "TF":
+            if variant:
+                def store(old, value):
+                    return old & value
+            else:
+                def store(old, value):
+                    return old | value
+        else:
+            disturb = variant
+        delta, mismatch = self._run(state, store, disturb)
+        signature = 0
+        for d, gap in zip(delta, self.gap_cells):
+            signature |= d ^ gap
+        return mismatch | self.outside_cells, signature
+
+    def coupling(
+        self, cf_kind: str, a_bit: int, v_bit: int, variant: int
+    ) -> tuple[int, int]:
+        """``(stream, signature)`` planes of one intra-word coupling
+        fault (aggressor bit, victim bit, parameter variant) in every
+        word lane at once, one bit per lane at the lane's bit 0 — the
+        semantics of :meth:`_CampaignContext._packed_coupling_run`."""
+        aggr = replicate_mask(1 << a_bit, self.size, self.width)
+        shift = v_bit - a_bit
+        x, y, rising = cf_variant_params(cf_kind, variant)
+
+        def to_victim(bits: int) -> int:
+            return (bits << shift) if shift >= 0 else (bits >> -shift)
+
+        state = self.packed
+        if cf_kind == "CFst":
+            def store(_old, value):
+                cond = to_victim((value & aggr) if y else (~value & aggr))
+                return (value | cond) if x else (value & ~cond)
+
+            state = store(None, state)  # loaded content expresses the defect
+        else:
+            def store(old, value):
+                trig = to_victim(
+                    (old ^ value) & (value if rising else ~value) & aggr
+                )
+                if cf_kind == "CFin":
+                    return value ^ trig
+                return (value | trig) if x else (value & ~trig)
+        delta, mismatch = self._run(state, store)
+        signature = 0
+        for d, gap in zip(delta, self.gap_lanes):
+            signature |= self._lane_fold(d, xor=True) ^ gap
+        stream = self._lane_fold(mismatch, xor=False) | self.outside_lanes
+        return stream, signature
+
+    def _lane_fold(self, plane: int, *, xor: bool) -> int:
+        """XOR- or OR-fold each word lane onto its bit 0, with the
+        masked log-step fold of :meth:`_CampaignContext._lane_any`
+        (exact for XOR too: the masks keep every step's two halves
+        disjoint)."""
+        for shift, mask in self._folds:
+            if xor:
+                plane ^= (plane >> shift) & mask
+            else:
+                plane |= (plane >> shift) & mask
+        return plane & self.lane0
 
 
 register_engine(BatchEngine())

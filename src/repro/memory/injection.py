@@ -425,17 +425,34 @@ class ReadDisturbClass(FaultClass):
 _CF_VARIANTS = {"CFst": 4, "CFid": 4, "CFin": 2}
 
 
+def cf_variant_params(cf_kind: str, variant: int) -> tuple[int, int, bool]:
+    """``(x, y, rising)`` of variant *variant* of one coupling kind, in
+    ``_coupling_variants`` order: CFst runs ``(y, x)`` over ``{0, 1}**2``,
+    CFid ``(rising, x)`` over ``(True, False) x (0, 1)``, CFin rising
+    then falling.  ``x`` is the forced victim value, ``y`` the CFst
+    aggressor value; parameters a kind does not have are 0 / False.
+    The class kernels of :mod:`repro.engine.batch` decode variants here
+    too, so enumeration order and kernel semantics cannot drift apart.
+    """
+    if cf_kind == "CFst":
+        y, x = divmod(variant, 2)
+        return x, y, False
+    if cf_kind == "CFid":
+        half, x = divmod(variant, 2)
+        return x, 0, half == 0
+    return 0, 0, variant == 0
+
+
 def _cf_variant(
     cf_kind: str, aggressor: Cell, victim: Cell, variant: int
 ) -> CouplingFault:
     """Variant *variant* of ``_coupling_variants`` for one cell pair."""
+    x, y, rising = cf_variant_params(cf_kind, variant)
     if cf_kind == "CFst":
-        y, x = divmod(variant, 2)
         return StateCouplingFault(aggressor, victim, y, x)
     if cf_kind == "CFid":
-        half, x = divmod(variant, 2)
-        return IdempotentCouplingFault(aggressor, victim, half == 0, x)
-    return InversionCouplingFault(aggressor, victim, variant == 0)
+        return IdempotentCouplingFault(aggressor, victim, rising, x)
+    return InversionCouplingFault(aggressor, victim, rising)
 
 
 class IntraWordCFClass(FaultClass):

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from repro.bist.scheduler import OnlineTestScheduler, random_workload
+from repro.bist.scheduler import (
+    OnlineTestScheduler,
+    SessionStepper,
+    random_workload,
+)
+from repro.core.notation import parse_march
 from repro.core.twm import twm_transform
+from repro.engine import ExecutionError, compile_march, get_engine
 from repro.library import catalog
 from repro.memory.faults import Cell, StuckAtFault
 from repro.memory.injection import FaultyMemory
@@ -231,6 +237,27 @@ class TestSessionEdgeCases:
         # over from the session before it.
         assert len(report.detections) == report.sessions_completed
         assert report.detections == sorted(report.detections)
+
+
+class TestUnderivableSession:
+    def test_underivable_write_raises_execution_error(self):
+        # A relative write with no preceding read in its element-visit
+        # has no data on the BIST datapath: the stepper raises the
+        # reference interpreter's typed error, under ``python -O`` too.
+        test = parse_march("⇑(w~c,r~c)", name="underivable")
+        prediction = parse_march("⇑(rc)", name="underivable-SP")
+        memory = Memory(4, 8)
+        memory.randomize(random.Random(0))
+        stepper = SessionStepper(memory, test, prediction, 16)
+        with pytest.raises(ExecutionError) as stepped:
+            while not stepper.finished:
+                stepper.step(8)
+        with pytest.raises(ExecutionError) as interpreted:
+            get_engine("reference").run(
+                compile_march(test, 8), Memory(4, 8)
+            )
+        assert str(stepped.value) == str(interpreted.value)
+        assert "no preceding read" in str(stepped.value)
 
 
 class TestWorkloadFactory:
