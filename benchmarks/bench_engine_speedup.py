@@ -28,7 +28,7 @@ the Section 2 universe plus the RDF/DRDF/AF extension classes):
   fault-tolerance accounting (retries, respawns, lost wall-clock).
 * **megaword** — the packed class-kernel headline at ``>= 2^20``
   words: each single-cell class (SAF/TF/RDF/DRDF, millions of faults)
-  is answered by one :meth:`detect_class` bitset pass over the
+  is answered by one ``verdicts`` bitset pass over the
   campaign context's packed planes, raced against the per-fault
   dispatch rate measured on an evenly-strided fault sample through the
   *same warm context* (whole-class per-fault dispatch is exactly what
@@ -528,7 +528,7 @@ def main(argv=None) -> int:
         for cname in mega_names:
             fault_class = available[cname]
             started = time.perf_counter()
-            packed = ctx.detect_class(fault_class)
+            packed = ctx.verdicts(fault_class)
             packed_seconds = max(time.perf_counter() - started, 1e-9)
             n_class = len(fault_class)
             stride = max(1, n_class // args.megaword_samples)

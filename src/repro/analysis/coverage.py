@@ -8,12 +8,12 @@ behind the paper's Section 5 coverage-equality theorem (benchmark E7).
 
 Campaigns can be executed through a pluggable simulation engine
 (``run_campaign(..., engine="batch")``): when the flow is a
-structure-carrying :class:`CompareFlow`, :class:`SignatureFlow` or
-:class:`AliasingFlow`, the whole per-class fault sweep is handed to
-:meth:`repro.engine.Engine.detect_batch` /
-:meth:`repro.engine.Engine.detect_signature_batch` /
-:meth:`repro.engine.Engine.detect_aliasing_batch`, which the
-vectorized batch backend evaluates word-parallel instead of op-by-op.
+structure-carrying :class:`CompareFlow` or :class:`SignatureFlow`
+(whose :class:`AliasingFlow` subclass reports pair verdicts), the whole
+per-class fault sweep is handed to
+:meth:`repro.engine.Engine.detect_compare` or
+:meth:`repro.engine.Engine.detect_session`, which the vectorized batch
+backend evaluates word-parallel instead of op-by-op.
 With ``jobs=N`` the per-class sweeps are additionally sharded across
 worker processes (:class:`repro.engine.CampaignRunner`) and merged
 back deterministically — ``jobs=1`` and ``jobs=N`` produce
@@ -56,6 +56,7 @@ from ..engine import (
 )
 from ..memory.faults import Fault
 from ..memory.injection import FaultyMemory
+from ..memory.model import require_positive
 
 Flow = Callable[[Fault], bool]
 PairVerdict = tuple[bool, bool]
@@ -258,12 +259,12 @@ def run_campaign(
     """Simulate every fault in *universe* through *flow*.
 
     With ``engine`` set and a structure-carrying flow, each class is
-    evaluated through the engine's batch path —
-    :meth:`Engine.detect_batch` for :class:`CompareFlow`,
-    :meth:`Engine.detect_signature_batch` for :class:`SignatureFlow`,
-    :meth:`Engine.detect_aliasing_batch` for :class:`AliasingFlow`
-    (the ``"batch"`` engine vectorizes all three); any other flow falls
-    back to per-fault calls regardless of the engine.  ``jobs > 1``
+    evaluated through the engine's campaign call —
+    :meth:`Engine.detect_compare` for :class:`CompareFlow`,
+    :meth:`Engine.detect_session` for :class:`SignatureFlow` (its
+    ``.signature`` plane) and :class:`AliasingFlow` (the whole pair);
+    any other flow falls back to per-fault calls regardless of the
+    engine.  ``jobs > 1``
     additionally shards each class across that many worker processes
     with a deterministic merge, so reports are bit-identical to
     ``jobs=1``.  ``progress`` receives the per-class coverage and
@@ -307,7 +308,7 @@ def run_campaign(
         )
     work = flow.work_unit() if (
         eng is not None
-        and isinstance(flow, (CompareFlow, SignatureFlow, AliasingFlow))
+        and isinstance(flow, (CompareFlow, SignatureFlow))
     ) else None
     pair_verdicts = isinstance(flow, AliasingFlow)
     # Attribute stats to the backend that actually ran: a bare callable
@@ -426,6 +427,7 @@ def run_campaign(
 def _initial_words(
     n_words: int, width: int, initial: Sequence[int] | int | None, seed: int
 ) -> list[int]:
+    require_positive(n_words=n_words, width=width)
     mask = (1 << width) - 1
     if initial is None:
         rng = random.Random(seed)
@@ -517,7 +519,7 @@ class SignatureFlow:
     ``test`` / ``prediction`` / ``n_words`` / ``width`` / ``words`` /
     ``misr_width`` / ``misr_seed`` attributes let
     :func:`run_campaign` hand whole fault classes to an engine's
-    batched signature oracle instead.
+    two-phase session call instead.
     """
 
     def __init__(
@@ -532,6 +534,7 @@ class SignatureFlow:
         misr_seed: int = 0,
         engine: str | Engine | None = None,
     ) -> None:
+        require_positive(misr_width=misr_width)
         self.controller = TransparentBist(
             test,
             prediction,
@@ -592,44 +595,11 @@ def signature_flow(
     )
 
 
-class AliasingFlow:
-    """Pair-verdict transparent BIST flow with inspectable structure.
-
-    Calling it with a fault runs a full :class:`TransparentBist`
-    session and returns the ``(stream_detected, signature_detected)``
-    pair, so aliasing events (stream-detected but signature-missed)
-    can be counted; the exposed ``test`` / ``prediction`` /
-    ``n_words`` / ``width`` / ``words`` / ``misr_width`` /
-    ``misr_seed`` attributes let :func:`run_campaign` hand whole fault
-    classes to an engine's batched aliasing oracle instead.
-    """
-
-    def __init__(
-        self,
-        test: MarchTest,
-        prediction: MarchTest | None,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        engine: str | Engine | None = None,
-    ) -> None:
-        self.controller = TransparentBist(
-            test,
-            prediction,
-            misr_width=misr_width,
-            misr_seed=misr_seed,
-            engine=engine,
-        )
-        self.test = self.controller.test
-        self.prediction = self.controller.prediction
-        self.n_words = n_words
-        self.width = width
-        self.words = list(words)
-        self.misr_width = misr_width
-        self.misr_seed = misr_seed
+class AliasingFlow(SignatureFlow):
+    """Pair-verdict transparent BIST flow: the session of
+    :class:`SignatureFlow`, reporting the ``(stream_detected,
+    signature_detected)`` pair so aliasing events (stream-detected but
+    signature-missed) can be counted."""
 
     def __call__(self, fault: Fault) -> PairVerdict:
         memory = FaultyMemory(self.n_words, self.width, [fault])

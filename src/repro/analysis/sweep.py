@@ -39,7 +39,7 @@ descriptors, the symbolic leg prices each class as a handful of packed
 family replays (:meth:`~repro.engine.symbolic._SymbolicCampaign.
 _build_family`), and the campaign leg's ``run_campaign`` hands each
 descriptor to the batch engine's class kernels
-(:meth:`~repro.engine.BatchEngine.detect_class_batch`).  The SAF
+(:meth:`~repro.engine.Engine.detect_compare`).  The SAF
 kernel accepts classes *narrower* than the campaign width, so the
 sweep's cross-width scenario — one population enumerated at
 ``universe_width``, simulated at every swept width — stays on the

@@ -154,10 +154,10 @@ def table2_report(
             include_af=True,
         )
         for class_name, faults in universe.items():
-            verdicts = symbolic.detect_batch(march, n_words, width, words, faults)
+            verdicts = symbolic.detect_compare(march, n_words, width, words, faults)
             mismatches = {}
             for engine_name, engine in concrete.items():
-                others = engine.detect_batch(march, n_words, width, words, faults)
+                others = engine.detect_compare(march, n_words, width, words, faults)
                 mismatches[engine_name] = sum(
                     1 for a, b in zip(verdicts, others) if a != b
                 )
@@ -166,7 +166,7 @@ def table2_report(
                     class_name,
                     width,
                     len(faults),
-                    sum(verdicts),
+                    verdicts.count(),
                     mismatches,
                 )
             )

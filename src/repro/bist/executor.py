@@ -14,7 +14,7 @@ once to a compiled :class:`~repro.engine.program.MarchProgram` and run
 by a pluggable backend.  :func:`run_march` keeps the historical
 interface and delegates to the registry (``engine="reference"`` by
 default); campaign-scale batch evaluation lives in
-:meth:`repro.engine.Engine.detect_batch` and
+:meth:`repro.engine.Engine.detect_compare` and
 :func:`repro.analysis.coverage.run_campaign`.
 
 Detection oracles:

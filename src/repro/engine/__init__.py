@@ -13,8 +13,8 @@ Layers (see ``README.md`` in this directory):
   semantic baseline;
 * :mod:`repro.engine.batch` — word-parallel campaign evaluation
   (bit-plane passes for single-cell faults, subset simulation for
-  coupling and address-decoder faults, linear-MISR signature and
-  pair-verdict aliasing batching, reference fallback otherwise);
+  coupling and address-decoder faults, packed and linear-MISR
+  two-phase session kernels, reference fallback otherwise);
 * :mod:`repro.engine.parallel` — supervised, lease-based campaign
   sharding (:class:`CampaignRunner`): chunks dispatched as retryable
   leases onto respawnable workers, merged back into the deterministic
@@ -28,7 +28,16 @@ Select a backend by name wherever an ``engine=`` parameter is accepted
     from repro.engine import get_engine
 
     engine = get_engine("batch")
-    verdicts = engine.detect_batch(test, n_words, width, words, faults)
+    compare = engine.detect_compare(test, n_words, width, words, faults)
+    session = engine.detect_session(
+        test, prediction, n_words, width, words, faults, misr_width=16
+    )
+    compare.count(), session.signature.count(), session.aliased_count()
+
+Both calls return packed verdicts
+(:class:`~repro.engine.verdicts.PackedVerdicts`, or the session's
+``(stream, signature)`` :class:`~repro.engine.verdicts.
+PackedPairVerdicts`) for a fault list or a streaming fault class.
 """
 
 from .base import (

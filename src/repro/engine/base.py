@@ -11,16 +11,19 @@ Two run granularities exist:
 
 * :meth:`Engine.run` — one march execution on one memory, producing a
   full :class:`RunResult` (read records, MISR sinks, early stop);
-* :meth:`Engine.detect_batch` — a whole single-fault campaign slice:
-  given the shared initial content and a list of faults, return the
-  per-fault detection verdicts of the alias-free compare oracle.  The
-  base implementation loops :meth:`Engine.run`; vectorized backends
-  override it.  :meth:`Engine.detect_signature_batch` and
-  :meth:`Engine.detect_aliasing_batch` are the same granularity under
-  the two-phase MISR oracle — the aliasing variant reports ``(stream
-  detected, signature detected)`` *pair verdicts* so campaigns can
-  count aliasing events (stream-detected but signature-missed)
-  directly.
+* one campaign call per oracle context — given the shared initial
+  content and a fault list or streaming fault class, return every
+  fault's verdict packed:
+  :meth:`Engine.detect_compare` (alias-free compare oracle,
+  :class:`~repro.engine.verdicts.PackedVerdicts`) and
+  :meth:`Engine.detect_session` (two-phase MISR session,
+  ``(stream detected, signature detected)``
+  :class:`~repro.engine.verdicts.PackedPairVerdicts`; the signature
+  oracle is its ``.signature`` plane).  They pair one-to-one with
+  :meth:`Engine.build_compare_context` and
+  :meth:`Engine.build_session_context`.  The base implementations loop
+  :meth:`Engine.run` per fault; vectorized backends override
+  :meth:`Engine._detect_compare` / :meth:`Engine._detect_session`.
 """
 
 from __future__ import annotations
@@ -75,6 +78,71 @@ class RunResult:
 ReadSink = Callable[[ReadRecord], None]
 
 
+def _check_words(n_words: int, words: Sequence[int]) -> None:
+    if len(words) != n_words:
+        raise ValueError(f"expected {n_words} words, got {len(words)}")
+
+
+def compare_verdict(
+    run: Callable[..., RunResult],
+    program: "MarchProgram",
+    n_words: int,
+    words: Sequence[int],
+    fault: "Fault",
+    *,
+    derive_writes: bool = True,
+) -> bool:
+    """Compare-oracle verdict of one fault alone on a fresh memory
+    loaded with *words*, executed by *run* (an engine's ``run`` or
+    :func:`~repro.engine.reference.execute_program`)."""
+    from ..memory.injection import FaultyMemory
+
+    memory = FaultyMemory(n_words, program.width, [fault])
+    memory.load(words)
+    return run(
+        program, memory, stop_on_mismatch=True, derive_writes=derive_writes
+    ).detected
+
+
+def session_verdict(
+    run: Callable[..., RunResult],
+    test: "MarchProgram",
+    prediction: "MarchProgram",
+    n_words: int,
+    words: Sequence[int],
+    fault: "Fault",
+    *,
+    misr_width: int = 16,
+    misr_seed: int = 0,
+) -> tuple[bool, bool]:
+    """``(stream_detected, signature_detected)`` of one fault's
+    two-phase transparent BIST session, executed by *run*."""
+    from ..bist.misr import Misr
+    from ..memory.injection import FaultyMemory
+
+    memory = FaultyMemory(n_words, test.width, [fault])
+    memory.load(words)
+    snapshot = memory.snapshot()
+    predict_misr = Misr(misr_width, misr_seed)
+    run(
+        prediction,
+        memory,
+        snapshot=snapshot,
+        read_sink=lambda rec: predict_misr.absorb(rec.raw ^ rec.mask_value),
+    )
+    test_misr = Misr(misr_width, misr_seed)
+    test_run = run(
+        test,
+        memory,
+        snapshot=snapshot,
+        read_sink=lambda rec: test_misr.absorb(rec.raw),
+    )
+    return (
+        test_run.n_mismatches > 0,
+        predict_misr.signature != test_misr.signature,
+    )
+
+
 class Engine:
     """A fault-simulation backend over compiled march programs."""
 
@@ -107,7 +175,7 @@ class Engine:
         """Reusable compare-oracle campaign state for this engine, or
         ``None`` when the engine has nothing to amortize beyond the
         (already cached) compiled program.  What comes back is opaque:
-        hand it to :meth:`detect_batch` via ``context=`` unchanged.
+        hand it to :meth:`detect_compare` via ``context=`` unchanged.
         The base/reference per-fault loop precomputes nothing."""
         return None
 
@@ -122,12 +190,11 @@ class Engine:
         misr_width: int = 16,
         misr_seed: int = 0,
     ) -> object:
-        """Reusable two-phase-session state (shared by the signature
-        *and* aliasing oracles — both read the same session), or
-        ``None`` when the engine has nothing to amortize."""
+        """Reusable two-phase-session state for :meth:`detect_session`,
+        or ``None`` when the engine has nothing to amortize."""
         return None
 
-    def detect_batch(
+    def detect_compare(
         self,
         test: "MarchTest | MarchProgram",
         n_words: int,
@@ -137,206 +204,25 @@ class Engine:
         *,
         derive_writes: bool = True,
         context: object = None,
-    ) -> list[bool]:
-        """Compare-oracle detection verdict for every fault in *faults*.
+    ) -> "PackedVerdicts":
+        """Compare-oracle verdict for every fault in *faults*, packed.
 
         Each fault is simulated alone on a fresh memory loaded with
         *words* (the campaign's shared initial content); the verdict is
-        ``RunResult.detected`` of a ``stop_on_mismatch`` run.
-        ``context`` accepts a prebuilt :meth:`build_compare_context`
-        payload; the per-fault base loop has none and ignores it.
+        ``RunResult.detected`` of a ``stop_on_mismatch`` run.  *faults*
+        is a list or a streaming
+        :class:`~repro.memory.injection.FaultClass`; ``context``
+        accepts a prebuilt :meth:`build_compare_context` payload.
+        The content length is checked here, for every engine; backends
+        override :meth:`_detect_compare`.
         """
-        from ..memory.injection import FaultyMemory
-
-        program = self._program(test, width)
-        out = []
-        for fault in faults:
-            memory = FaultyMemory(n_words, width, [fault])
-            memory.load(words)
-            out.append(
-                self.run(
-                    program,
-                    memory,
-                    stop_on_mismatch=True,
-                    derive_writes=derive_writes,
-                ).detected
-            )
-        return out
-
-    def detect_signature_batch(
-        self,
-        test: "MarchTest | MarchProgram",
-        prediction: "MarchTest | MarchProgram",
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: "Sequence[Fault]",
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        context: object = None,
-    ) -> list[bool]:
-        """Signature-oracle detection verdict for every fault in *faults*.
-
-        Each fault is simulated alone on a fresh memory loaded with
-        *words*; a two-phase transparent BIST session (prediction phase
-        feeding one MISR with pattern-corrected reads, test phase
-        feeding a second MISR with raw reads — the semantics of
-        :class:`repro.bist.controller.TransparentBist`) runs through
-        this engine, and the verdict is whether the two signatures
-        differ.  Aliasing is possible, exactly as in hardware.  The base
-        implementation loops :meth:`run`; vectorized backends override.
-        ``context`` accepts a prebuilt :meth:`build_session_context`
-        payload.
-        """
-        # context= travels only when a payload exists, so a subclass
-        # overriding detect_aliasing_batch with the pre-context
-        # signature keeps working (its build hooks return None).
-        kwargs = {} if context is None else {"context": context}
-        return [
-            signature
-            for _stream, signature in self.detect_aliasing_batch(
-                test,
-                prediction,
-                n_words,
-                width,
-                words,
-                faults,
-                misr_width=misr_width,
-                misr_seed=misr_seed,
-                **kwargs,
-            )
-        ]
-
-    def detect_aliasing_batch(
-        self,
-        test: "MarchTest | MarchProgram",
-        prediction: "MarchTest | MarchProgram",
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: "Sequence[Fault]",
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        context: object = None,
-    ) -> list[tuple[bool, bool]]:
-        """``(stream_detected, signature_detected)`` pair verdict for
-        every fault in *faults*.
-
-        The session is the same two-phase transparent BIST run as
-        :meth:`detect_signature_batch`; on top of the signature verdict,
-        each pair records whether the ideal alias-free compare oracle
-        saw the fault in the test phase's read stream (the semantics of
-        :attr:`repro.bist.controller.BistOutcome.stream_detected`).  A
-        fault with ``(True, False)`` *aliased*: the read stream was
-        wrong but the signatures collided.  The base implementation
-        loops :meth:`run`; vectorized backends override.
-        """
-        from ..bist.misr import Misr
-        from ..memory.injection import FaultyMemory
-
-        test_program = self._program(test, width)
-        prediction_program = self._program(prediction, width)
-        out = []
-        for fault in faults:
-            memory = FaultyMemory(n_words, width, [fault])
-            memory.load(words)
-            snapshot = memory.snapshot()
-            predict_misr = Misr(misr_width, misr_seed)
-            self.run(
-                prediction_program,
-                memory,
-                snapshot=snapshot,
-                read_sink=lambda rec: predict_misr.absorb(
-                    rec.raw ^ rec.mask_value
-                ),
-            )
-            test_misr = Misr(misr_width, misr_seed)
-            test_run = self.run(
-                test_program,
-                memory,
-                snapshot=snapshot,
-                read_sink=lambda rec: test_misr.absorb(rec.raw),
-            )
-            out.append(
-                (
-                    test_run.n_mismatches > 0,
-                    predict_misr.signature != test_misr.signature,
-                )
-            )
-        return out
-
-    def detect_class_batch(
-        self,
-        test: "MarchTest | MarchProgram",
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: "Sequence[Fault]",
-        *,
-        derive_writes: bool = True,
-        context: object = None,
-    ) -> "PackedVerdicts":
-        """Compare-oracle verdicts for a whole fault class, packed.
-
-        Same oracle as :meth:`detect_batch`, but the result is a
-        :class:`~repro.engine.verdicts.PackedVerdicts` bitset —
-        campaigns count, transport, and sample undetected faults from
-        the packed form without building per-fault bool lists.  The
-        base implementation packs the per-fault loop's output; the
-        batch backend overrides it with one-pass class kernels over
-        streaming :class:`~repro.memory.injection.FaultClass`
-        descriptors.
-        """
-        from .verdicts import PackedVerdicts
-
-        kwargs = {} if context is None else {"context": context}
-        return PackedVerdicts.from_bools(
-            self.detect_batch(
-                test,
-                n_words,
-                width,
-                words,
-                faults,
-                derive_writes=derive_writes,
-                **kwargs,
-            )
+        _check_words(n_words, words)
+        return self._detect_compare(
+            test, n_words, width, words, faults,
+            derive_writes=derive_writes, context=context,
         )
 
-    def detect_class_signature_batch(
-        self,
-        test: "MarchTest | MarchProgram",
-        prediction: "MarchTest | MarchProgram",
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: "Sequence[Fault]",
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        context: object = None,
-    ) -> "PackedVerdicts":
-        """Signature-oracle verdicts for a whole fault class, packed
-        (:meth:`detect_signature_batch` lifted to bitsets)."""
-        from .verdicts import PackedVerdicts
-
-        kwargs = {} if context is None else {"context": context}
-        return PackedVerdicts.from_bools(
-            self.detect_signature_batch(
-                test,
-                prediction,
-                n_words,
-                width,
-                words,
-                faults,
-                misr_width=misr_width,
-                misr_seed=misr_seed,
-                **kwargs,
-            )
-        )
-
-    def detect_class_aliasing_batch(
+    def detect_session(
         self,
         test: "MarchTest | MarchProgram",
         prediction: "MarchTest | MarchProgram",
@@ -349,23 +235,60 @@ class Engine:
         misr_seed: int = 0,
         context: object = None,
     ) -> "PackedPairVerdicts":
-        """Aliasing-oracle pair verdicts for a whole fault class, packed
-        (:meth:`detect_aliasing_batch` lifted to paired bitsets)."""
+        """``(stream_detected, signature_detected)`` pair verdict for
+        every fault in *faults*, packed.
+
+        Each fault is simulated alone on a fresh memory loaded with
+        *words*; a two-phase transparent BIST session (prediction phase
+        feeding one MISR with pattern-corrected reads, test phase
+        feeding a second MISR with raw reads — the semantics of
+        :class:`repro.bist.controller.TransparentBist`) runs through
+        this engine.  The signature verdict (``.signature``) is whether
+        the two signatures differ — aliasing is possible, exactly as in
+        hardware; the stream verdict (``.stream``) is whether the ideal
+        alias-free compare oracle saw the fault in the test phase's
+        read stream (:attr:`repro.bist.controller.BistOutcome.
+        stream_detected`).  A fault with ``(True, False)`` *aliased*.
+        ``context`` accepts a prebuilt :meth:`build_session_context`
+        payload; backends override :meth:`_detect_session`.
+        """
+        _check_words(n_words, words)
+        return self._detect_session(
+            test, prediction, n_words, width, words, faults,
+            misr_width=misr_width, misr_seed=misr_seed, context=context,
+        )
+
+    def _detect_compare(
+        self, test, n_words, width, words, faults, *, derive_writes, context
+    ) -> "PackedVerdicts":
+        """The per-fault compare loop over :meth:`run`; the base engine
+        has no context and ignores it."""
+        from .verdicts import PackedVerdicts
+
+        program = self._program(test, width)
+        return PackedVerdicts.from_bools(
+            compare_verdict(
+                self.run, program, n_words, words, fault,
+                derive_writes=derive_writes,
+            )
+            for fault in faults
+        )
+
+    def _detect_session(
+        self, test, prediction, n_words, width, words, faults, *,
+        misr_width, misr_seed, context,
+    ) -> "PackedPairVerdicts":
+        """The per-fault two-phase session loop over :meth:`run`."""
         from .verdicts import PackedPairVerdicts
 
-        kwargs = {} if context is None else {"context": context}
+        test_program = self._program(test, width)
+        prediction_program = self._program(prediction, width)
         return PackedPairVerdicts.from_pairs(
-            self.detect_aliasing_batch(
-                test,
-                prediction,
-                n_words,
-                width,
-                words,
-                faults,
-                misr_width=misr_width,
-                misr_seed=misr_seed,
-                **kwargs,
+            session_verdict(
+                self.run, test_program, prediction_program, n_words, words,
+                fault, misr_width=misr_width, misr_seed=misr_seed,
             )
+            for fault in faults
         )
 
     def detect_symbolic(

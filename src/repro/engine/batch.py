@@ -41,25 +41,23 @@ Per fault class:
 anything unrecognised
     full-fidelity fallback through the reference interpreter.
 
-The *signature* oracle (two-phase transparent BIST, MISR compare) gets
-the same treatment through :meth:`BatchEngine.detect_signature_batch`:
+The two-phase session (transparent BIST, MISR compare) gets the same
+treatment through :meth:`~repro.engine.base.Engine.detect_session`:
 the fault-free read streams of both phases are recorded once per
 ``(programs, content)``, the MISR's GF(2) linearity turns every read
 bit into a precomputed signature weight, and each fault only needs a
 subset replay over its own words to know which read bits it corrupts —
 O(op_count) per fault instead of two full O(op_count x n_words) runs.
-:meth:`BatchEngine.detect_aliasing_batch` rides the *same* replay: the
-test-phase leg of it also compares every support read against its
-session-snapshot expected value, yielding the alias-free stream
-verdict next to the signature verdict at no extra pass.
+The test-phase leg of the same replay also compares every support read
+against its session-snapshot expected value, so the alias-free stream
+verdict comes next to the signature verdict at no extra pass; the
+signature oracle is the pair's ``.signature`` plane.
 
-At the class level (:meth:`BatchEngine.detect_class_aliasing_batch`,
-whose ``.signature`` plane is
-:meth:`BatchEngine.detect_class_signature_batch`) the cell and
-intra-word CF classes skip the per-fault replay altogether: one packed
-pass per compare-kernel hypothesis runs both phases and accumulates
-``err & W[m]`` into bit-sliced signature-delta planes, ``W[m]`` being
-the weights' bit ``m`` laid out at every read's cell positions (see
+For a streaming cell or intra-word CF class the session skips the
+per-fault replay altogether: one packed pass per compare-kernel
+hypothesis runs both phases and accumulates ``err & W[m]`` into
+bit-sliced signature-delta planes, ``W[m]`` being the weights' bit
+``m`` laid out at every read's cell positions (see
 :class:`_SessionBlock`).
 
 Single executions (:meth:`BatchEngine.run`) use the reference
@@ -89,7 +87,16 @@ from ..memory.injection import (
     TransitionClass,
     cf_variant_params,
 )
-from .base import Engine, ExecutionError, ReadSink, RunResult, register_engine
+from .base import (
+    Engine,
+    ExecutionError,
+    ReadSink,
+    RunResult,
+    _check_words,
+    compare_verdict,
+    register_engine,
+    session_verdict,
+)
 from .program import MarchProgram, pack_words, replicate_mask
 from .reference import execute_program
 from .verdicts import PackedPairVerdicts, PackedVerdicts
@@ -154,8 +161,8 @@ class BatchEngine(Engine):
     ) -> "_SignatureContext | None":
         """The two-phase session's reusable state — fault-free read
         streams of both phases, MISR weight/fold tables, fault-free
-        signature gap and mismatch set.  One context serves both the
-        signature and the pair-verdict aliasing oracle.  ``None`` for
+        signature gap and mismatch set — one context answers both the
+        stream and the signature verdict of the pair.  ``None`` for
         underivable programs (per-fault interpreter path)."""
         test_program = self._program(test, width)
         prediction_program = self._program(prediction, width)
@@ -194,29 +201,24 @@ class BatchEngine(Engine):
                 "context cache"
             )
 
-    def detect_batch(
-        self,
-        test,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: Sequence[Fault],
-        *,
-        derive_writes: bool = True,
-        context: "_CampaignContext | None" = None,
-    ) -> list[bool]:
+    def _detect_compare(
+        self, test, n_words, width, words, faults, *, derive_writes, context
+    ) -> PackedVerdicts:
+        """Compare-oracle verdicts off the campaign context: a streaming
+        class through its packed class kernel, anything else through
+        the exact per-fault dispatch (:meth:`_CampaignContext.verdicts`)."""
         program = self._program(test, width)
         if derive_writes and not program.derivable:
             # An underivable program may still detect (or raise) fault
             # by fault, depending on whether a mismatch stops the run
             # before the first underivable write executes; only the
             # interpreter reproduces that exactly.
-            return super().detect_batch(
+            return super()._detect_compare(
                 program, n_words, width, words, faults,
-                derive_writes=derive_writes,
+                derive_writes=derive_writes, context=None,
             )
         if context is None:
-            ctx = _CampaignContext(program, n_words, words, derive_writes)
+            context = _CampaignContext(program, n_words, words, derive_writes)
         else:
             self._check_context(
                 context, _CampaignContext, program, n_words, words
@@ -226,175 +228,32 @@ class BatchEngine(Engine):
                     "prebuilt campaign context was built for the other "
                     "derived-write datapath"
                 )
-            ctx = context
-        return [ctx.detect(fault) for fault in faults]
+        return context.verdicts(faults)
 
-    def detect_class_batch(
-        self,
-        test,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: Sequence[Fault],
-        *,
-        derive_writes: bool = True,
-        context: "_CampaignContext | None" = None,
-    ) -> PackedVerdicts:
-        """Compare-oracle verdicts of a whole fault class in packed
-        one-pass kernels.
-
-        When *faults* is a streaming
-        :class:`~repro.memory.injection.FaultClass` descriptor and the
-        program is derivable, the verdict bitset comes straight off the
-        campaign context's packed planes — no per-fault ``Fault``
-        objects, no per-fault dispatch.  Anything else (materialized
-        lists, underivable programs) takes the per-fault path and is
-        packed on the way out.
-        """
-        program = self._program(test, width)
-        if not isinstance(faults, FaultClass) or (
-            derive_writes and not program.derivable
-        ):
-            return super().detect_class_batch(
-                program, n_words, width, words, faults,
-                derive_writes=derive_writes, context=context,
-            )
-        if context is None:
-            ctx = _CampaignContext(program, n_words, words, derive_writes)
-        else:
-            self._check_context(
-                context, _CampaignContext, program, n_words, words
-            )
-            if context.derive != derive_writes:
-                raise ExecutionError(
-                    "prebuilt campaign context was built for the other "
-                    "derived-write datapath"
-                )
-            ctx = context
-        return ctx.detect_class(faults)
-
-    def detect_signature_batch(
-        self,
-        test,
-        prediction,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: Sequence[Fault],
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        context: "_SignatureContext | None" = None,
-    ) -> list[bool]:
-        ctx = self._session_context(
-            test, prediction, n_words, width, words, misr_width, misr_seed,
-            context,
-        )
-        if ctx is None:
-            # The per-fault reference path raises ExecutionError at the
-            # first underivable write; only it reproduces that exactly.
-            return super().detect_signature_batch(
-                self._program(test, width), self._program(prediction, width),
-                n_words, width, words, faults,
-                misr_width=misr_width, misr_seed=misr_seed,
-            )
-        return [ctx.detect(fault) for fault in faults]
-
-    def detect_aliasing_batch(
-        self,
-        test,
-        prediction,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: Sequence[Fault],
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        context: "_SignatureContext | None" = None,
-    ) -> list[tuple[bool, bool]]:
-        ctx = self._session_context(
-            test, prediction, n_words, width, words, misr_width, misr_seed,
-            context,
-        )
-        if ctx is None:
-            # The per-fault reference path raises ExecutionError at the
-            # first underivable write; only it reproduces that exactly.
-            return super().detect_aliasing_batch(
-                self._program(test, width), self._program(prediction, width),
-                n_words, width, words, faults,
-                misr_width=misr_width, misr_seed=misr_seed,
-            )
-        return [ctx.detect_pair(fault) for fault in faults]
-
-    def detect_class_signature_batch(
-        self,
-        test,
-        prediction,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: Sequence[Fault],
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        context: "_SignatureContext | None" = None,
-    ) -> PackedVerdicts:
-        """Signature-oracle verdicts of a whole fault class: the
-        ``.signature`` plane of the packed session kernels behind
-        :meth:`detect_class_aliasing_batch`, or, for inputs they do
-        not cover, the cheaper signature-only per-fault replay."""
-        ctx = self._session_context(
-            test, prediction, n_words, width, words, misr_width, misr_seed,
-            context,
-        )
-        if ctx is None:
-            return super().detect_class_signature_batch(
-                test, prediction, n_words, width, words, faults,
-                misr_width=misr_width, misr_seed=misr_seed,
-            )
-        return ctx.detect_class(faults)
-
-    def detect_class_aliasing_batch(
-        self,
-        test,
-        prediction,
-        n_words: int,
-        width: int,
-        words: Sequence[int],
-        faults: Sequence[Fault],
-        *,
-        misr_width: int = 16,
-        misr_seed: int = 0,
-        context: "_SignatureContext | None" = None,
+    def _detect_session(
+        self, test, prediction, n_words, width, words, faults, *,
+        misr_width, misr_seed, context,
     ) -> PackedPairVerdicts:
-        """Aliasing-oracle pair verdicts of a whole fault class, from
-        the packed session kernels when *faults* is a streaming cell or
-        intra-word CF class of this session's geometry, per fault
-        otherwise."""
-        ctx = self._session_context(
-            test, prediction, n_words, width, words, misr_width, misr_seed,
-            context,
-        )
-        if ctx is None:
-            return super().detect_class_aliasing_batch(
-                test, prediction, n_words, width, words, faults,
-                misr_width=misr_width, misr_seed=misr_seed,
-            )
-        return ctx.detect_class_pair(faults)
-
-    def _session_context(
-        self, test, prediction, n_words, width, words, misr_width, misr_seed,
-        context,
-    ) -> "_SignatureContext | None":
-        """Resolve the session context for one signature/aliasing call:
-        the validated prebuilt one, a fresh build, or ``None`` when the
-        programs are underivable (per-fault interpreter path)."""
+        """Session pair verdicts off the session context: a streaming
+        cell or intra-word CF class of this geometry through the packed
+        session kernels, anything else through the per-fault subset
+        replay (:meth:`_SignatureContext.verdicts`)."""
         test_program = self._program(test, width)
         prediction_program = self._program(prediction, width)
         if not (test_program.derivable and prediction_program.derivable):
-            return None
-        if context is not None:
+            # The per-fault reference path raises ExecutionError at the
+            # first underivable write; only it reproduces that exactly.
+            return super()._detect_session(
+                test_program, prediction_program, n_words, width, words,
+                faults, misr_width=misr_width, misr_seed=misr_seed,
+                context=None,
+            )
+        if context is None:
+            context = _SignatureContext(
+                prediction_program, test_program, n_words, words,
+                misr_width, misr_seed,
+            )
+        else:
             self._check_context(
                 context, _SignatureContext, test_program, n_words, words
             )
@@ -407,11 +266,7 @@ class BatchEngine(Engine):
                     "prebuilt session context was built for a different "
                     "prediction program or MISR configuration"
                 )
-            return context
-        return _SignatureContext(
-            prediction_program, test_program, n_words, words,
-            misr_width, misr_seed,
-        )
+        return context.verdicts(faults)
 
 
 class _CampaignContext:
@@ -428,8 +283,7 @@ class _CampaignContext:
         words: Sequence[int],
         derive_writes: bool,
     ) -> None:
-        if len(words) != n_words:
-            raise ExecutionError("initial content length does not match memory size")
+        _check_words(n_words, words)
         self.program = program
         self.n_words = n_words
         self.width = program.width
@@ -480,54 +334,64 @@ class _CampaignContext:
         return cell.addr * self.width + cell.bit
 
     # -- class-level dispatch ------------------------------------------
-    def detect_class(self, fault_class: FaultClass) -> PackedVerdicts:
-        """Packed verdict bitset of one whole fault class.
+    def verdicts(self, faults: Sequence[Fault]) -> PackedVerdicts:
+        """Packed verdicts of *faults*, a list or a streaming class.
 
-        The strided class kernels apply when the class geometry matches
-        this campaign and the fault-free baseline is clean (always, for
-        well-formed tests); everything else — inter-word CF classes, AF
-        classes, mismatched geometry, ill-formed tests — streams through
-        the exact per-fault dispatch one fault at a time, so no path
-        ever materializes the class as a list.
+        The strided class kernels of :meth:`_packed_class` answer a
+        covered class in one pass each; everything else — inter-word
+        CF classes, AF classes, mismatched geometry, ill-formed tests,
+        materialized lists — streams through the exact per-fault
+        dispatch one fault at a time, so no path ever materializes a
+        class as a list.
         """
+        packed = self._packed_class(faults)
+        if packed is not None:
+            return packed
+        return PackedVerdicts.from_bools(self.detect(fault) for fault in faults)
+
+    def _packed_class(self, fault_class) -> PackedVerdicts | None:
+        """Verdicts of a class the strided kernels cover, or ``None``.
+
+        Covered: streaming classes at this campaign's geometry (SAF
+        classes of any width up to it) when the fault-free baseline is
+        clean — always, for well-formed tests.
+        """
+        if not isinstance(fault_class, FaultClass) or self._baseline_plane():
+            return None
         n, w = self.n_words, self.width
-        exact = fault_class.n_words == n and fault_class.width == w
-        if self._baseline_plane() == 0:
-            if (
-                isinstance(fault_class, StuckAtClass)
-                and fault_class.n_words == n
-                and fault_class.width <= w
-            ):
-                # The SAF verdict is address- and content-independent
-                # (see _saf_planes), so a narrower class just replicates
-                # the truncated accumulators at its own lane width.
-                cw = fault_class.width
-                saf0, saf1 = self._saf_planes()
-                cmask = (1 << cw) - 1
-                return PackedVerdicts(
-                    len(fault_class),
-                    (
-                        replicate_mask(saf0 & cmask, n, cw),
-                        replicate_mask(saf1 & cmask, n, cw),
-                    ),
-                    stride=2,
-                )
-            if exact and isinstance(fault_class, TransitionClass):
-                return PackedVerdicts(
-                    len(fault_class),
-                    (self._tf_plane(True), self._tf_plane(False)),
-                    stride=2,
-                )
-            if exact and isinstance(fault_class, ReadDisturbClass):
-                return PackedVerdicts(
-                    len(fault_class),
-                    (self._rdf_plane(fault_class.deceptive),),
-                )
-            if exact and isinstance(fault_class, IntraWordCFClass) and w > 1:
-                return self._intra_cf_class(fault_class)
-        return PackedVerdicts.from_bools(
-            self.detect(fault) for fault in fault_class
-        )
+        if isinstance(fault_class, StuckAtClass):
+            if fault_class.n_words != n or fault_class.width > w:
+                return None
+            # The SAF verdict is address- and content-independent (see
+            # _saf_planes), so a narrower class just replicates the
+            # truncated accumulators at its own lane width.
+            cw = fault_class.width
+            saf0, saf1 = self._saf_planes()
+            cmask = (1 << cw) - 1
+            return PackedVerdicts(
+                len(fault_class),
+                (
+                    replicate_mask(saf0 & cmask, n, cw),
+                    replicate_mask(saf1 & cmask, n, cw),
+                ),
+                stride=2,
+            )
+        if fault_class.n_words != n or fault_class.width != w:
+            return None
+        if isinstance(fault_class, TransitionClass):
+            return PackedVerdicts(
+                len(fault_class),
+                (self._tf_plane(True), self._tf_plane(False)),
+                stride=2,
+            )
+        if isinstance(fault_class, ReadDisturbClass):
+            return PackedVerdicts(
+                len(fault_class),
+                (self._rdf_plane(fault_class.deceptive),),
+            )
+        if isinstance(fault_class, IntraWordCFClass) and w > 1:
+            return self._intra_cf_class(fault_class)
+        return None
 
     def _intra_cf_class(self, fault_class: IntraWordCFClass) -> PackedVerdicts:
         """All intra-word coupling faults of one kind: one packed pass
@@ -847,17 +711,11 @@ class _CampaignContext:
     # -- fallback ------------------------------------------------------
     def _fallback(self, fault: Fault) -> bool:
         """Full-fidelity interpretation for fault kinds without a fast
-        path (address-decoder faults, user-defined models)."""
-        from ..memory.injection import FaultyMemory
-
-        memory = FaultyMemory(self.n_words, self.width, [fault])
-        memory.load(self.words)
-        return execute_program(
-            self.program,
-            memory,
-            stop_on_mismatch=True,
+        path (user-defined models)."""
+        return compare_verdict(
+            execute_program, self.program, self.n_words, self.words, fault,
             derive_writes=self.derive,
-        ).detected
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +867,7 @@ class _SubsetSim:
 
 
 class _SignatureContext:
-    """Shared per-(programs, content) state of one signature-mode slice.
+    """Shared per-(programs, content) state of one two-phase session.
 
     The two-phase session's verdict is ``predicted_signature !=
     test_signature``.  Both signatures are GF(2)-linear in the absorbed
@@ -1023,8 +881,8 @@ class _SignatureContext:
 
     Two evaluation paths share that state:
 
-    * **Packed session kernels** (:meth:`detect_class`,
-      :meth:`detect_class_pair`) answer a whole streaming SAF, TF,
+    * **Packed session kernels** (:meth:`verdicts` via
+      :meth:`_packed_class`) answer a whole streaming SAF, TF,
       RDF/DRDF or intra-word CFst/CFid/CFin class of this geometry in a
       few packed passes — one per fault hypothesis placed at every cell
       (or in every word lane) at once, through both phases on one
@@ -1033,13 +891,13 @@ class _SignatureContext:
       class costs ``passes x reads x misr_width`` big-int operations.
       The planes are built lazily per block of :attr:`block_words`
       words (see :class:`_SessionBlock`).
-    * **Per-fault subset replay** (:meth:`detect`, :meth:`detect_pair`)
-      covers everything else — AF and inter-word CF classes,
-      materialized lists, classes of another geometry — at one
-      O(op_count) replay of both phases over the fault's support words
-      per fault; unknown fault kinds run the full two-phase session.
+    * **Per-fault subset replay** (:meth:`detect_pair`) covers
+      everything else — AF and inter-word CF classes, materialized
+      lists, classes of another geometry — at one O(op_count) replay
+      of both phases over the fault's support words per fault; unknown
+      fault kinds run the full two-phase session.
 
-    Both paths answer the *aliasing* oracle from the same evaluation as
+    Both paths answer the stream verdict from the same evaluation as
     the signature: the test-phase stream verdict is whether any read
     the fault can influence disagrees with its session-snapshot
     expected value, OR-ed with the recorded fault-free mismatch
@@ -1067,8 +925,7 @@ class _SignatureContext:
         )
         from ..memory.model import Memory
 
-        if len(words) != n_words:
-            raise ExecutionError("initial content length does not match memory size")
+        _check_words(n_words, words)
         self.prediction = prediction
         self.test = test
         self.n_words = n_words
@@ -1127,28 +984,15 @@ class _SignatureContext:
         self._block: _SessionBlock | None = None
 
     # -- class-level dispatch ------------------------------------------
-    def detect_class(self, fault_class: Sequence[Fault]) -> PackedVerdicts:
-        """Packed signature verdicts of one fault class: the packed
-        session kernels where they apply, the per-fault replay
-        otherwise."""
-        packed = self._packed_class(fault_class)
-        if packed is not None:
-            return packed.signature
-        return PackedVerdicts.from_bools(
-            self.detect(fault) for fault in fault_class
-        )
-
-    def detect_class_pair(
-        self, fault_class: Sequence[Fault]
-    ) -> PackedPairVerdicts:
-        """Packed ``(stream, signature)`` verdicts of one fault class,
-        with the same packed-or-per-fault routing as
-        :meth:`detect_class`."""
-        packed = self._packed_class(fault_class)
+    def verdicts(self, faults: Sequence[Fault]) -> PackedPairVerdicts:
+        """Packed ``(stream, signature)`` verdicts of *faults*: the
+        packed session kernels where they apply, the per-fault subset
+        replay otherwise."""
+        packed = self._packed_class(faults)
         if packed is not None:
             return packed
         return PackedPairVerdicts.from_pairs(
-            self.detect_pair(fault) for fault in fault_class
+            self.detect_pair(fault) for fault in faults
         )
 
     def _packed_class(
@@ -1218,23 +1062,6 @@ class _SignatureContext:
         return block
 
     # -- per-fault dispatch --------------------------------------------
-    def detect(self, fault: Fault) -> bool:
-        fault.validate(self.n_words, self.width)
-        support = _SubsetSim.support(fault)
-        if support is None:
-            return self._fallback(fault)
-        sim = _SubsetSim(
-            fault, {a: self.words[a] for a in support}, self.width
-        )
-        delta, _ = self._phase_delta(
-            self.prediction, sim, support, self.prediction_raw,
-            self.prediction_weights,
-        )
-        test_delta, _ = self._phase_delta(
-            self.test, sim, support, self.test_raw, self.test_weights
-        )
-        return (delta ^ test_delta) != self.fault_free_gap
-
     def detect_pair(self, fault: Fault) -> tuple[bool, bool]:
         """``(stream_detected, signature_detected)`` of one session,
         bit-identical to :class:`~repro.bist.controller.TransparentBist`
@@ -1336,37 +1163,13 @@ class _SignatureContext:
         return delta, mismatched
 
     # -- fallback ------------------------------------------------------
-    def _fallback(self, fault: Fault) -> bool:
+    def _fallback_pair(self, fault: Fault) -> tuple[bool, bool]:
         """Full-fidelity two-phase session for fault kinds without
         subset semantics (user-defined models)."""
-        return self._fallback_pair(fault)[1]
-
-    def _fallback_pair(self, fault: Fault) -> tuple[bool, bool]:
-        """Full-fidelity two-phase session reporting the
-        ``(stream, signature)`` pair verdict."""
-        from ..bist.misr import Misr
-        from ..memory.injection import FaultyMemory
-
-        memory = FaultyMemory(self.n_words, self.width, [fault])
-        memory.load(self.words)
-        snapshot = memory.snapshot()
-        predict_misr = Misr(self.misr_width, self.misr_seed)
-        execute_program(
-            self.prediction,
-            memory,
-            snapshot=snapshot,
-            read_sink=lambda rec: predict_misr.absorb(rec.raw ^ rec.mask_value),
-        )
-        test_misr = Misr(self.misr_width, self.misr_seed)
-        test_run = execute_program(
-            self.test,
-            memory,
-            snapshot=snapshot,
-            read_sink=lambda rec: test_misr.absorb(rec.raw),
-        )
-        return (
-            test_run.n_mismatches > 0,
-            predict_misr.signature != test_misr.signature,
+        return session_verdict(
+            execute_program, self.test, self.prediction, self.n_words,
+            self.words, fault,
+            misr_width=self.misr_width, misr_seed=self.misr_seed,
         )
 
 

@@ -8,8 +8,11 @@ shared state.  This module provides
 
 * :class:`CompareWork` / :class:`SignatureWork` / :class:`AliasingWork`
   — picklable work-unit descriptions (the flow structure minus the
-  faults), executable against any registered engine and keyed into the
-  campaign-context cache (:mod:`repro.engine.context`);
+  faults), keyed into the campaign-context cache
+  (:mod:`repro.engine.context`); each has one ``run(engine, faults,
+  context)`` that evaluates a fault list or streaming class through
+  the engine's oracle call (``detect_compare``, or ``detect_session``
+  and its ``.signature`` plane) and returns packed verdicts;
 * :class:`CampaignRunner` — a supervised worker-pool wrapper that
   shards fault classes into **leases**, dispatches them, survives
   worker faults, and merges verdicts deterministically.
@@ -136,8 +139,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 @dataclass(frozen=True)
 class CompareWork:
     """One compare-oracle campaign context description: everything an
-    engine's :meth:`~repro.engine.Engine.detect_batch` needs except the
-    faults."""
+    engine's :meth:`~repro.engine.Engine.detect_compare` needs except
+    the faults."""
 
     test: "MarchTest"
     n_words: int
@@ -169,40 +172,23 @@ class CompareWork:
 
     def run(
         self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> list[bool]:
-        # context= travels only when a payload exists: an engine whose
-        # build hook returned None may predate the context parameter
-        # entirely (custom engines overriding the old signatures).
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_batch(
-            self.test,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            derive_writes=self.derive_writes,
-            **kwargs,
-        )
-
-    def run_class(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
     ) -> "PackedVerdicts":
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_class_batch(
+        return engine.detect_compare(
             self.test,
             self.n_words,
             self.width,
             list(self.words),
             faults,
             derive_writes=self.derive_writes,
-            **kwargs,
+            context=context,
         )
 
 
 @dataclass(frozen=True)
 class SignatureWork:
-    """One signature-oracle campaign context description (two-phase
-    MISR session)."""
+    """One signature-oracle campaign context description: the two-phase
+    MISR session of :meth:`~repro.engine.Engine.detect_session`,
+    reporting its ``.signature`` plane."""
 
     test: "MarchTest"
     prediction: "MarchTest"
@@ -241,25 +227,11 @@ class SignatureWork:
 
     def run(
         self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> list[bool]:
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_signature_batch(
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            misr_width=self.misr_width,
-            misr_seed=self.misr_seed,
-            **kwargs,
-        )
-
-    def run_class(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
     ) -> "PackedVerdicts":
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_class_signature_batch(
+        return self._session(engine, faults, context).signature
+
+    def _session(self, engine, faults, context) -> "PackedPairVerdicts":
+        return engine.detect_session(
             self.test,
             self.prediction,
             self.n_words,
@@ -268,50 +240,21 @@ class SignatureWork:
             faults,
             misr_width=self.misr_width,
             misr_seed=self.misr_seed,
-            **kwargs,
+            context=context,
         )
 
 
 @dataclass(frozen=True)
 class AliasingWork(SignatureWork):
     """One aliasing-oracle campaign context description: the exact
-    session description of :class:`SignatureWork` (including its cache
-    key), but reporting per-fault ``(stream detected, signature
-    detected)`` pair verdicts so aliasing events can be counted.  Pair
-    verdicts are plain tuples of bools, so chunks shard and merge
-    exactly like boolean verdicts."""
+    session of :class:`SignatureWork` (including its cache key), but
+    reporting the whole ``(stream detected, signature detected)`` pair
+    so aliasing events can be counted."""
 
     def run(
         self, engine: Engine, faults: "Sequence[Fault]", context: object = None
-    ) -> list[tuple[bool, bool]]:
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_aliasing_batch(
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            misr_width=self.misr_width,
-            misr_seed=self.misr_seed,
-            **kwargs,
-        )
-
-    def run_class(
-        self, engine: Engine, faults: "Sequence[Fault]", context: object = None
     ) -> "PackedPairVerdicts":
-        kwargs = {} if context is None else {"context": context}
-        return engine.detect_class_aliasing_batch(
-            self.test,
-            self.prediction,
-            self.n_words,
-            self.width,
-            list(self.words),
-            faults,
-            misr_width=self.misr_width,
-            misr_seed=self.misr_seed,
-            **kwargs,
-        )
+        return self._session(engine, faults, context)
 
 
 def work_key(work) -> tuple:
@@ -451,7 +394,7 @@ def _execute_chunk(engine_name: str, store: _BindingStore, task, action):
         raise RuntimeError("chaos: injected chunk failure")
     cache = _worker_cache(engine_name)
     ctx = cache.get(work)
-    verdicts = work.run_class(cache.engine, faults, context=ctx.payload)
+    verdicts = work.run(cache.engine, faults, context=ctx.payload)
     return verdicts, cache.take_stats().as_dict()
 
 
@@ -1089,20 +1032,6 @@ class CampaignRunner:
         return self._context.get_start_method() == "fork"
 
     # -- execution -----------------------------------------------------
-    def detect_class(
-        self,
-        work,
-        faults: "Sequence[Fault]",
-        *,
-        class_name: str | None = None,
-    ) -> list[bool]:
-        """Verdicts for one fault class as a plain per-fault list,
-        bit-identical to ``work.run(engine, faults)`` executed
-        sequentially (the packed pipeline, unpacked at the end)."""
-        return self.detect_class_packed(
-            work, faults, class_name=class_name
-        ).tolist()
-
     def detect_class_packed(
         self,
         work,
@@ -1171,9 +1100,7 @@ class CampaignRunner:
         def run_inline(lease: ChunkLease):
             chunk_faults = faults[lease.start:lease.stop]
             ctx = self._cache.get(work)
-            return work.run_class(
-                self.engine, chunk_faults, context=ctx.payload
-            )
+            return work.run(self.engine, chunk_faults, context=ctx.payload)
 
         parts = []
         for chunk_verdicts, stats in pool.run_leases(
@@ -1196,7 +1123,7 @@ class CampaignRunner:
 
     def _run_inline(self, work, faults):
         ctx = self._cache.get(work)
-        return work.run_class(self.engine, faults, context=ctx.payload)
+        return work.run(self.engine, faults, context=ctx.payload)
 
     def _ensure_pool(self) -> "_SupervisedPool | None":
         if self._pool is not None:

@@ -6,12 +6,12 @@ the engine refactor) — derived writes from the most recent read of the
 same element-visit, compare/collect/sink/stop-on-mismatch modes — while
 hoisting mask resolution and op dispatch out of the inner loop via the
 compiled IR.  It is the semantic baseline every other backend is
-equivalence-tested against: its campaign entry points (`detect_batch`,
-`detect_signature_batch`, `detect_aliasing_batch`) are the inherited
-per-fault loops over :meth:`ReferenceEngine.run`, so a reference
-campaign is literally the classic one-fault-at-a-time sweep —
-including the per-fault two-phase TransparentBist session behind the
-signature and pair-verdict aliasing oracles.
+equivalence-tested against: its campaign entry points (`detect_compare`,
+`detect_session`) are the inherited per-fault loops over
+:meth:`ReferenceEngine.run`, so a reference campaign is literally the
+classic one-fault-at-a-time sweep — including the per-fault two-phase
+TransparentBist session behind the signature and pair-verdict aliasing
+oracles.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ still bitwise, so the verdict is evaluated per position and
 concretization ORs the positions of the target width — width-generic
 evaluation, width-dependent projection.
 
-The MISR signature/aliasing oracles are *not* offered: signature
-folding maps word bit ``j`` to register position ``j mod misr_width``,
-which is irreducibly width-concrete, so those entry points raise
+The two-phase MISR session (signature and aliasing oracles) is *not*
+offered: signature folding maps word bit ``j`` to register position
+``j mod misr_width``, which is irreducibly width-concrete, so
+:meth:`~repro.engine.base.Engine.detect_session` raises
 :class:`ExecutionError` pointing at the concrete engines.
 
 Single executions (:meth:`SymbolicEngine.run`) use the reference
@@ -60,9 +61,17 @@ from ..memory.faults import (
     StuckAtFault,
     TransitionFault,
 )
-from .base import Engine, ExecutionError, ReadSink, RunResult, register_engine
+from .base import (
+    Engine,
+    ExecutionError,
+    ReadSink,
+    RunResult,
+    compare_verdict,
+    register_engine,
+)
 from .program import SymbolicProgram, compile_symbolic
 from .reference import execute_program
+from .verdicts import PackedVerdicts
 
 
 class SymbolicEngine(Engine):
@@ -100,65 +109,47 @@ class SymbolicEngine(Engine):
         )
 
     # -- campaign entry points -----------------------------------------
-    def detect_batch(
-        self,
-        test,
-        n_words: int,
-        width: "int | str | None",
-        words: Sequence[int] | None,
-        faults: Sequence[Fault],
-        *,
-        derive_writes: bool = True,
-        context: object = None,
-    ) -> list:
+    def _detect_compare(
+        self, test, n_words, width, words, faults, *, derive_writes, context
+    ) -> PackedVerdicts:
         """Compare-oracle verdicts through one symbolic evaluation.
 
-        With a concrete *width* the verdicts are plain bools — each
-        fault is evaluated once, width-generically, then concretized at
-        ``(width, words)`` — so the engine drops into ``run_campaign``
-        /"CampaignRunner`` wherever ``reference``/``batch`` do.  With
-        ``width=None`` (or ``"symbolic"``) the *words* are ignored and
-        the raw :class:`SymbolicVerdict` objects are returned instead.
-        ``context`` is accepted for interface compatibility and
-        ignored: the engine amortizes through its own internal
-        shape-cached ``_SymbolicCampaign`` contexts, which are keyed by
-        ``(program, datapath)`` and already shared across widths,
-        words and campaigns.
+        Each fault is evaluated once, width-generically, then
+        concretized at ``(width, words)``, so the engine drops into
+        ``run_campaign``/``CampaignRunner`` wherever
+        ``reference``/``batch`` do; the width-generic verdicts
+        themselves come from :meth:`detect_symbolic`.  ``context`` is
+        accepted for interface compatibility and ignored: the engine
+        amortizes through its own internal shape-cached
+        ``_SymbolicCampaign`` contexts, which are keyed by ``(program,
+        datapath)`` and already shared across widths, words and
+        campaigns.
         """
         program = self._symbolic(test)
-        if width is None or width == "symbolic":
-            return self.detect_symbolic(
-                program, n_words, faults, derive_writes=derive_writes
-            )
-        program.at_width(width)  # surface unresolvable-mask errors early
-        if words is None or len(words) != n_words:
-            raise ExecutionError(
-                "initial content length does not match memory size"
-            )
+        concrete = program.at_width(width)  # unresolvable masks raise here
         if derive_writes and not program.derivable:
             # An underivable program may still detect (or raise) fault
             # by fault depending on where the first mismatch stops the
             # run; only the interpreter reproduces that exactly.
-            return super().detect_batch(
-                program.test,
-                n_words,
-                width,
-                words,
-                faults,
-                derive_writes=derive_writes,
+            return super()._detect_compare(
+                concrete, n_words, width, words, faults,
+                derive_writes=derive_writes, context=None,
             )
         ctx = self._context(program, derive_writes)
-        words = [w & ((1 << width) - 1) for w in words]
-        out = []
-        for fault in faults:
+        words = [w & concrete.word_mask for w in words]
+
+        def verdict(fault: Fault) -> bool:
             fault.validate(n_words, width)
             try:
-                verdict = ctx.verdict(fault)
+                return ctx.verdict(fault).concretize(width, words)
             except _NoSymbolicSemantics:
-                out.append(self._fallback(program, width, words, fault, derive_writes))
-                continue
-            out.append(verdict.concretize(width, words))
-        return out
+                # User-defined fault models: full-fidelity interpretation.
+                return compare_verdict(
+                    execute_program, concrete, n_words, words, fault,
+                    derive_writes=derive_writes,
+                )
+
+        return PackedVerdicts.from_bools(verdict(fault) for fault in faults)
 
     def detect_symbolic(
         self,
@@ -195,19 +186,13 @@ class SymbolicEngine(Engine):
                 ) from None
         return verdicts
 
-    def detect_signature_batch(self, *args, **kwargs):
+    def _detect_session(self, *args, **kwargs):
         raise ExecutionError(
-            "the symbolic engine has no MISR signature oracle: signature "
+            "the symbolic engine has no two-phase session oracle: MISR "
             "folding maps word bit j to register position j mod "
-            "misr_width, which is width-concrete; run signature-mode "
-            "campaigns through engine='reference' or engine='batch'"
-        )
-
-    def detect_aliasing_batch(self, *args, **kwargs):
-        raise ExecutionError(
-            "the symbolic engine has no MISR aliasing oracle: signature "
-            "folding is width-concrete; run aliasing-mode campaigns "
-            "through engine='reference' or engine='batch'"
+            "misr_width, which is width-concrete; run signature- and "
+            "aliasing-mode campaigns through engine='reference' or "
+            "engine='batch'"
         )
 
     # -- helpers -------------------------------------------------------
@@ -233,22 +218,6 @@ class SymbolicEngine(Engine):
             ctx = _SymbolicCampaign(program, derive_writes)
             self._contexts[key] = ctx
         return ctx
-
-    @staticmethod
-    def _fallback(program, width, words, fault, derive_writes) -> bool:
-        """Full-fidelity interpretation for fault kinds without
-        symbolic semantics (user-defined models)."""
-        from ..memory.injection import FaultyMemory
-
-        memory = FaultyMemory(len(words), width, [fault])
-        memory.load(words)
-        return execute_program(
-            program.at_width(width),
-            memory,
-            stop_on_mismatch=True,
-            derive_writes=derive_writes,
-        ).detected
-
 
 class _NoSymbolicSemantics(Exception):
     """Internal: the fault kind has no per-bit replay model."""

@@ -20,7 +20,7 @@ from .faults import (
     StuckAtFault,
     TransitionFault,
 )
-from .model import Memory
+from .model import Memory, require_positive
 
 
 class FaultyMemory(Memory):
@@ -615,6 +615,7 @@ def standard_fault_universe(
     classes draw their down-sample at construction, in dict order — so
     a given seed selects the same sampled pairs either way.
     """
+    require_positive(n_words=n_words, width=width)
     if streaming:
         universe: dict[str, Sequence[Fault]] = {
             "SAF": StuckAtClass(n_words, width),

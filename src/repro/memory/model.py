@@ -15,6 +15,15 @@ from typing import Iterable, Sequence
 from .traces import AccessEvent, Observer
 
 
+def require_positive(**counts: int) -> None:
+    """Raise :class:`ValueError` naming the first of *counts* below 1 —
+    the rule the CLI applies to word counts and widths, for public
+    entry points that take geometry directly."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 class Memory:
     """An ``n_words`` x ``width`` RAM with observer hooks."""
 

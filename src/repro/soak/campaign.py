@@ -3,7 +3,7 @@
 Scenario sweeps ride the exact machinery every other campaign uses:
 :class:`SoakWork` is a work unit in the
 :class:`~repro.engine.parallel.CampaignRunner` sense (``context_key`` /
-``build_context`` / ``run_class``), a scenario list is its "fault
+``build_context`` / ``run``), a scenario list is its "fault
 class", and :class:`ScenarioVerdicts` is its packed result container —
 so soak sweeps are sharded across persistent workers, lease-supervised
 (crash/hang/corrupt detection, bounded retries, chaos injection) and
@@ -79,9 +79,6 @@ class SoakWork:
         return None
 
     def run(self, engine, scenarios, context=None) -> ScenarioVerdicts:
-        return self.run_class(engine, scenarios, context=context)
-
-    def run_class(self, engine, scenarios, context=None) -> ScenarioVerdicts:
         return ScenarioVerdicts(
             tuple(run_scenario(scenario) for scenario in scenarios)
         )

@@ -303,7 +303,7 @@ class TestDegradationLadder:
         flow = make_flow()
         work = flow.work_unit()
         runner.bind(work, universe)
-        runner.detect_class(work, universe["SAF"], class_name="SAF")
+        runner.detect_class_packed(work, universe["SAF"], class_name="SAF")
         runner.close()
         runner.close()  # second close is a no-op, not an error
         assert runner._pool is None
@@ -314,7 +314,7 @@ class TestDegradationLadder:
         flow = make_flow()
         work = flow.work_unit()
         runner.bind(work, universe)
-        runner.detect_class(work, universe["SAF"], class_name="SAF")
+        runner.detect_class_packed(work, universe["SAF"], class_name="SAF")
         # Kill the workers behind the supervisor's back; close() must
         # still succeed (a dead pool never masks the original error).
         for worker in runner._pool._workers:
@@ -335,7 +335,7 @@ class TestIncrementalBind:
         second = {"SAF": first["SAF"][:16]}  # changed class + dropped one
         with sharded_runner() as runner:
             runner.bind(work, first)
-            assert runner.detect_class(
+            assert runner.detect_class_packed(
                 work, first["SAF"], class_name="SAF"
             ) == work.run(engine, first["SAF"])
             pids = runner._pool.worker_pids()
@@ -343,7 +343,7 @@ class TestIncrementalBind:
             # Re-binding a different universe ships a diff, not a new
             # pool: same worker processes, correct new verdicts.
             runner.bind(work, second)
-            assert runner.detect_class(
+            assert runner.detect_class_packed(
                 work, second["SAF"], class_name="SAF"
             ) == work.run(engine, second["SAF"])
             assert runner._pool.worker_pids() == pids
@@ -367,12 +367,12 @@ class TestIncrementalBind:
         with sharded_runner() as runner:
             runner.bind(work, first)
             for name in first:
-                assert runner.detect_class(
+                assert runner.detect_class_packed(
                     work, first[name], class_name=name
                 ) == work.run(engine, first[name]), name
             second = materialized_universe(seed=23, classes=("SAF", "TF"))
             runner.bind(work, second)
             for name in second:
-                assert runner.detect_class(
+                assert runner.detect_class_packed(
                     work, second[name], class_name=name
                 ) == work.run(engine, second[name]), name

@@ -177,7 +177,7 @@ class TestContextCache:
         sig = flows["signature"].work_unit()
         ctx = ContextCache(engine).get(sig).payload
         with pytest.raises(ExecutionError, match="prediction|MISR"):
-            engine.detect_signature_batch(
+            engine.detect_session(
                 sig.test,
                 sig.test,  # a different (self-)prediction program
                 sig.n_words,
@@ -289,28 +289,28 @@ class TestPersistentWorkers:
         )
         assert report.context_stats is None
 
-    def test_old_signature_custom_engine_still_runs(self, twm, universe):
-        # A custom engine written before the context parameter existed
-        # (overriding the documented pre-context signatures) must keep
-        # working: context= only travels when a payload exists, and
-        # the base build hooks return None.
+    def test_custom_engine_without_context_hooks_runs(self, twm, universe):
+        # A custom engine overriding only detect_compare inherits the
+        # base build hooks, which return None: campaigns run it with
+        # context=None and build nothing.
         from repro.engine import Engine
 
-        class Legacy(Engine):
-            name = "legacy-test-engine"
+        class Custom(Engine):
+            name = "custom-test-engine"
 
-            def detect_batch(
+            def detect_compare(
                 self, test, n_words, width, words, faults, *,
-                derive_writes=True,
+                derive_writes=True, context=None,
             ):
-                return get_engine("reference").detect_batch(
+                assert context is None
+                return get_engine("reference").detect_compare(
                     test, n_words, width, words, faults,
                     derive_writes=derive_writes,
                 )
 
         flow = _flows(twm)["compare"]
         small = {"SAF": universe["SAF"]}
-        report = run_campaign(flow, small, engine=Legacy())
+        report = run_campaign(flow, small, engine=Custom())
         baseline = run_campaign(flow, small, engine="reference")
         assert report.coverage_vector() == baseline.coverage_vector()
         assert report.context_stats.builds == 0  # nothing to amortize

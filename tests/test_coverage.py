@@ -324,3 +324,47 @@ class TestInitialWordsValidation:
         assert len(
             compare_flow(twm.twmarch, N_WORDS, WIDTH, initial=None).words
         ) == N_WORDS
+
+
+class TestFactoryGeometryValidation:
+    """The public factories apply the CLI's rule: word counts, widths
+    and MISR widths must be >= 1, or a ValueError names the argument."""
+
+    @pytest.mark.parametrize(
+        "n_words, width, bad",
+        [(-1, 4, "n_words"), (0, 4, "n_words"), (2, -2, "width"), (2, 0, "width")],
+    )
+    def test_compare_flow(self, twm, n_words, width, bad):
+        with pytest.raises(ValueError, match=bad):
+            compare_flow(twm.twmarch, n_words, width)
+
+    @pytest.mark.parametrize(
+        "n_words, width, misr_width, bad",
+        [(-1, 4, 16, "n_words"), (2, -2, 16, "width"), (2, 4, -1, "misr_width"),
+         (2, 4, 0, "misr_width")],
+    )
+    def test_signature_flow(self, twm, n_words, width, misr_width, bad):
+        with pytest.raises(ValueError, match=bad):
+            signature_flow(
+                twm.twmarch, twm.prediction, n_words, width,
+                misr_width=misr_width,
+            )
+
+    @pytest.mark.parametrize(
+        "n_words, width, misr_width, bad",
+        [(0, 4, 16, "n_words"), (2, 0, 16, "width"), (2, 4, -1, "misr_width")],
+    )
+    def test_aliasing_flow(self, twm, n_words, width, misr_width, bad):
+        with pytest.raises(ValueError, match=bad):
+            aliasing_flow(
+                twm.twmarch, twm.prediction, n_words, width,
+                misr_width=misr_width,
+            )
+
+    @pytest.mark.parametrize("streaming", [True, False])
+    @pytest.mark.parametrize(
+        "n_words, width, bad", [(-1, 4, "n_words"), (2, -2, "width")]
+    )
+    def test_standard_fault_universe(self, n_words, width, bad, streaming):
+        with pytest.raises(ValueError, match=bad):
+            standard_fault_universe(n_words, width, streaming=streaming)

@@ -182,7 +182,7 @@ class TestRunEquivalence:
         bad = parse_march("⇕(wc); ⇕(rc)", name="bad")
         faults = [StuckAtFault(Cell(0, 0), 1)]
         with pytest.raises(ExecutionError, match="no preceding read"):
-            get_engine("batch").detect_batch(bad, 2, 4, [0, 0], faults)
+            get_engine("batch").detect_compare(bad, 2, 4, [0, 0], faults)
 
     def test_underivable_after_detection_matches_reference(self):
         # The first element always mismatches (rc^1 against untouched
@@ -192,10 +192,28 @@ class TestRunEquivalence:
         tricky = parse_march("⇕(rc^1,wc); ⇕(wc)", name="tricky")
         faults = [StuckAtFault(Cell(0, 0), 1), StuckAtFault(Cell(1, 2), 0)]
         verdicts = {
-            engine: get_engine(engine).detect_batch(tricky, 2, 4, [0, 0], faults)
+            engine: get_engine(engine).detect_compare(tricky, 2, 4, [0, 0], faults)
             for engine in ("reference", "batch")
         }
         assert verdicts["reference"] == verdicts["batch"] == [True, True]
+
+    @pytest.mark.parametrize("oracle", ["compare", "session"])
+    @pytest.mark.parametrize("engine", ["reference", "batch", "symbolic"])
+    def test_words_length_mismatch_raises_value_error(self, engine, oracle):
+        # One check in the base entry points: every engine and both
+        # oracles reject mis-sized content the same way, before any
+        # engine-specific work (including the symbolic engine's
+        # width-concrete session error).
+        twm = twm_transform(catalog.get("March C-"), 4)
+        faults = [StuckAtFault(Cell(0, 0), 1)]
+        eng = get_engine(engine)
+        with pytest.raises(ValueError, match="expected 4 words, got 2"):
+            if oracle == "compare":
+                eng.detect_compare(twm.twmarch, 4, 4, [0, 0], faults)
+            else:
+                eng.detect_session(
+                    twm.twmarch, twm.prediction, 4, 4, [0, 0], faults
+                )
 
 
 class TestCampaignEquivalence:
@@ -327,13 +345,13 @@ class TestAddressFaultFastPath:
         flow = compare_flow(twm.twmarch, N_WORDS, 4, initial=0)
         # The interpreter sees an ordinary fault-free memory, so the
         # fallback verdict must be "not detected" for both oracles.
-        verdicts = get_engine("batch").detect_batch(
+        verdicts = get_engine("batch").detect_compare(
             flow.test, N_WORDS, 4, flow.words, [WeirdFault()]
         )
         assert verdicts == [False]
-        sig = get_engine("batch").detect_signature_batch(
+        sig = get_engine("batch").detect_session(
             twm.twmarch, twm.prediction, N_WORDS, 4, flow.words, [WeirdFault()]
-        )
+        ).signature
         assert sig == [False]
 
     @pytest.mark.parametrize("wired_or", [False, True])
@@ -408,7 +426,7 @@ class TestSignatureBatchEquivalence:
         faults = [StuckAtFault(Cell(0, 0), 1)]
         for engine in ("reference", "batch"):
             with pytest.raises(ExecutionError, match="no preceding read"):
-                get_engine(engine).detect_signature_batch(
+                get_engine(engine).detect_session(
                     bad, prediction, 2, 4, [0, 0], faults
                 )
 
@@ -478,7 +496,7 @@ class TestAliasingBatchEquivalence:
                 memory.load(words)
                 outcome = controller.run(memory)
                 expected.append((outcome.stream_detected, outcome.detected))
-            batched = get_engine("batch").detect_aliasing_batch(
+            batched = get_engine("batch").detect_session(
                 twm.twmarch, twm.prediction, N_WORDS, 4, words, faults,
                 misr_width=2,
             )
@@ -515,10 +533,10 @@ class TestAliasingBatchEquivalence:
         prediction = parse_march("⇕(rc)", name="ill-alias-p")
         universe = small_universe(N_WORDS, 4, 37)
         for faults in universe.values():
-            ref = get_engine("reference").detect_aliasing_batch(
+            ref = get_engine("reference").detect_session(
                 ill, prediction, N_WORDS, 4, [1, 2, 3], faults, misr_width=4
             )
-            bat = get_engine("batch").detect_aliasing_batch(
+            bat = get_engine("batch").detect_session(
                 ill, prediction, N_WORDS, 4, [1, 2, 3], faults, misr_width=4
             )
             assert ref == bat
@@ -532,7 +550,7 @@ class TestAliasingBatchEquivalence:
         faults = [StuckAtFault(Cell(0, 0), 1)]
         for engine in ("reference", "batch"):
             with pytest.raises(ExecutionError, match="no preceding read"):
-                get_engine(engine).detect_aliasing_batch(
+                get_engine(engine).detect_session(
                     bad, prediction, 2, 4, [0, 0], faults
                 )
 
@@ -553,7 +571,7 @@ class TestAliasingBatchEquivalence:
                 pass
 
         twm = twm_transform(catalog.get("March C-"), 4)
-        pairs = get_engine("batch").detect_aliasing_batch(
+        pairs = get_engine("batch").detect_session(
             twm.twmarch, twm.prediction, N_WORDS, 4, [0, 0, 0], [WeirdFault()]
         )
         assert pairs == [(False, False)]
@@ -637,7 +655,7 @@ class TestShardedCampaigns:
         with CampaignRunner("batch", 3, min_chunk=4) as runner:
             runner.bind(work, universe)
             for name, faults in universe.items():
-                sharded = runner.detect_class(work, faults, class_name=name)
+                sharded = runner.detect_class_packed(work, faults, class_name=name)
                 assert sharded == work.run(get_engine("batch"), faults), name
 
     def test_shard_bounds_partition(self):
@@ -687,10 +705,10 @@ class TestShardedCampaigns:
             short = {"SAF": universe["SAF"][:6]}  # conflicting "SAF"
             second.bind(work, short)
             for name in ("CFst-intra", "SAF"):
-                assert first.detect_class(
+                assert first.detect_class_packed(
                     work, universe[name], class_name=name
                 ) == work.run(engine, universe[name]), name
-            assert second.detect_class(
+            assert second.detect_class_packed(
                 work, short["SAF"], class_name="SAF"
             ) == work.run(engine, short["SAF"])
         finally:

@@ -12,7 +12,7 @@ The megaword contract has three parts, each tested here:
   :class:`~repro.engine.PackedPairVerdicts` round-trip the per-fault
   verdicts exactly (counts, missed indices, chunk concat, pickling);
 * **class kernels** — the batch engine's
-  :meth:`~repro.engine.BatchEngine.detect_class_batch` one-pass
+  :meth:`~repro.engine.Engine.detect_compare` one-pass
   kernels are bit-identical to per-fault dispatch and the reference
   interpreter, at small sizes fully and at megaword sizes on strided
   samples, across edge widths (1, non-power-of-two, > 64).
@@ -256,7 +256,7 @@ class TestClassKernelEquivalence:
             for cname, fc in _classes(1 << 10, 4).items():
                 if cname not in ("SAF", "TF", "RDF", "DRDF"):
                     continue  # intra kernels covered at smaller n below
-                packed = ctx.detect_class(fc)
+                packed = ctx.verdicts(fc)
                 assert len(packed) == len(fc)
                 per_fault = [ctx.detect(f) for f in fc]
                 assert packed == per_fault, (name, cname)
@@ -265,7 +265,7 @@ class TestClassKernelEquivalence:
         twm = twm_transform(catalog.get("March C-"), 4).twmarch
         ctx = _context(twm, 16, 4, seed=3)
         for cname, fc in _classes(16, 4).items():
-            packed = ctx.detect_class(fc)
+            packed = ctx.verdicts(fc)
             assert packed == [ctx.detect(f) for f in fc], cname
 
     def test_edge_widths(self):
@@ -277,7 +277,7 @@ class TestClassKernelEquivalence:
             test = twm_transform(base, w).twmarch if w & (w - 1) == 0 else base
             ctx = _context(test, n, w, seed=n * w)
             for cname, fc in _classes(n, w).items():
-                packed = ctx.detect_class(fc)
+                packed = ctx.verdicts(fc)
                 assert packed == [ctx.detect(f) for f in fc], (n, w, cname)
 
     def test_megaword_sampled(self):
@@ -289,7 +289,7 @@ class TestClassKernelEquivalence:
             for cname, fc in _classes(n, 8).items():
                 if cname not in ("SAF", "TF", "RDF", "DRDF"):
                     continue
-                packed = ctx.detect_class(fc)
+                packed = ctx.verdicts(fc)
                 assert len(packed) == len(fc)
                 stride = max(1, len(fc) // 48)
                 for i in range(0, len(fc), stride):
@@ -302,9 +302,9 @@ class TestClassKernelEquivalence:
         batch = get_engine("batch")
         reference = get_engine("reference")
         for cname, fc in _classes(n, w).items():
-            packed = batch.detect_class_batch(twm, n, w, words, fc)
+            packed = batch.detect_compare(twm, n, w, words, fc)
             assert isinstance(packed, PackedVerdicts)
-            ref = reference.detect_batch(twm, n, w, words, list(fc))
+            ref = reference.detect_compare(twm, n, w, words, list(fc))
             assert packed == ref, cname
 
     def test_ill_formed_baseline_falls_back(self):
@@ -317,7 +317,7 @@ class TestClassKernelEquivalence:
         ctx = _context(raw, 6, 4, seed=2)
         assert ctx._baseline_plane() != 0
         for cname, fc in _classes(6, 4).items():
-            packed = ctx.detect_class(fc)
+            packed = ctx.verdicts(fc)
             assert packed == [ctx.detect(f) for f in fc], cname
 
     def test_geometry_mismatch_streams(self):
@@ -326,7 +326,7 @@ class TestClassKernelEquivalence:
         twm = twm_transform(catalog.get("March C-"), 8).twmarch
         ctx = _context(twm, 6, 8, seed=4)
         for fc in (TransitionClass(6, 4), StuckAtClass(6, 4)):
-            packed = ctx.detect_class(fc)
+            packed = ctx.verdicts(fc)
             assert packed == [ctx.detect(f) for f in fc]
 
     def test_campaign_jobs_deterministic_streaming(self):

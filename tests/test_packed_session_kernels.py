@@ -1,12 +1,11 @@
-"""Packed session kernels of the batch engine's signature and aliasing
-oracles.
+"""Packed session kernels of the batch engine's two-phase session
+oracle.
 
-:meth:`~repro.engine.BatchEngine.detect_class_signature_batch` and
-:meth:`~repro.engine.BatchEngine.detect_class_aliasing_batch` answer
-streaming SAF, TF, RDF/DRDF and intra-word CF classes in packed
-passes over per-signature-bit weight planes.  Every test here diffs
-those packed verdicts against the per-fault subset replay
-(``_SignatureContext.detect`` / ``detect_pair``) and, at small sizes,
+:meth:`~repro.engine.Engine.detect_session` answers streaming SAF, TF,
+RDF/DRDF and intra-word CF classes in packed passes over
+per-signature-bit weight planes.  Every test here diffs those packed
+``(stream, signature)`` verdicts against the per-fault subset replay
+(``_SignatureContext.detect_pair``) and, at small sizes,
 against the reference engine's full two-phase session per fault:
 across word widths (1, non-power-of-two, > 64), MISR widths narrower
 and wider than the word, several catalog tests, non-transparent and
@@ -90,9 +89,7 @@ def _assert_packed_equals_per_fault(ctx, classes, label):
         assert isinstance(packed, PackedPairVerdicts)
         assert len(packed) == len(fc)
         assert packed == [ctx.detect_pair(f) for f in fc], (label, cname)
-        signature = ctx.detect_class(fc)
-        assert isinstance(signature, PackedVerdicts)
-        assert signature == [ctx.detect(f) for f in fc], (label, cname)
+        assert isinstance(packed.signature, PackedVerdicts)
 
 
 class TestRowTable:
@@ -146,7 +143,7 @@ class TestPackedMatchesPerFault:
             twm.twmarch, twm.prediction, 1, 65, _words(1, 65, seed=1), 32
         )
         fc = IntraWordCFClass(1, 65, "CFin")
-        assert ctx.detect_class_pair(fc) == [ctx.detect_pair(f) for f in fc]
+        assert ctx.verdicts(fc) == [ctx.detect_pair(f) for f in fc]
 
     @pytest.mark.parametrize("name", ["MATS+", "March X", "March U", "March LR"])
     def test_catalog_tests(self, name):
@@ -253,9 +250,7 @@ class TestBlocks:
         blocked = _context(twm.twmarch, twm.prediction, 7, 4, words)
         blocked.block_words = 3  # blocks of 3, 3 and 1 words
         for cname, fc in _classes(7, 4).items():
-            assert blocked.detect_class_pair(fc) == whole.detect_class_pair(
-                fc
-            ), cname
+            assert blocked.verdicts(fc) == whole.verdicts(fc), cname
 
     def test_planes_are_bounded_by_the_block(self):
         twm = _twm("March C-", 8)
@@ -265,7 +260,7 @@ class TestBlocks:
             misr_width,
         )
         ctx.block_words = block_words
-        ctx.detect_class_pair(TransitionClass(n, 8))
+        ctx.verdicts(TransitionClass(n, 8))
         block = ctx._block
         assert block.size == block_words
         planes = [
@@ -285,9 +280,9 @@ class TestBlocks:
             twm.twmarch, twm.prediction, 6, 4, _words(6, 4, seed=0)
         )
         assert ctx._block is None  # lazy: no class asked for yet
-        ctx.detect_class(StuckAtClass(6, 4))
+        ctx.verdicts(StuckAtClass(6, 4))
         block = ctx._block
-        ctx.detect_class(IntraWordCFClass(6, 4, "CFid"))
+        ctx.verdicts(IntraWordCFClass(6, 4, "CFid"))
         assert ctx._block is block
 
 
@@ -312,11 +307,8 @@ class TestRouting:
         ]
         for fc in uncovered:
             assert self.ctx._packed_class(fc) is None
-            assert self.ctx.detect_class_pair(fc) == [
+            assert self.ctx.verdicts(fc) == [
                 self.ctx.detect_pair(f) for f in fc
-            ]
-            assert self.ctx.detect_class(fc) == [
-                self.ctx.detect(f) for f in fc
             ]
 
     def test_engine_entry_points_match_reference(self):
@@ -330,16 +322,12 @@ class TestRouting:
         for misr_width in (3, 16):
             for cname, fc in classes.items():
                 faults = list(fc)
-                pairs = batch.detect_class_aliasing_batch(
+                pairs = batch.detect_session(
                     *args, fc, misr_width=misr_width
                 )
-                assert pairs == reference.detect_aliasing_batch(
+                assert pairs == reference.detect_session(
                     *args, faults, misr_width=misr_width
                 ), (cname, misr_width)
-                signature = batch.detect_class_signature_batch(
-                    *args, fc, misr_width=misr_width
-                )
-                assert signature == pairs.signature.tolist()
 
     def test_prebuilt_context(self):
         batch = get_engine("batch")
@@ -348,13 +336,13 @@ class TestRouting:
         )
         ctx = batch.build_session_context(*args)
         fc = IntraWordCFClass(self.n, self.w, "CFst")
-        assert batch.detect_class_aliasing_batch(
+        assert batch.detect_session(
             *args, fc, context=ctx
         ) == [ctx.detect_pair(f) for f in fc]
         assert ctx._block is not None
         other = batch.build_session_context(*args, misr_width=8)
         with pytest.raises(ExecutionError):
-            batch.detect_class_signature_batch(*args, fc, context=other)
+            batch.detect_session(*args, fc, context=other)
 
     def test_underivable_programs_fail_like_reference(self):
         test = parse_march("⇑(w~c,r~c)", name="underivable")
@@ -363,7 +351,7 @@ class TestRouting:
         words = _words(2, 4, seed=0)
         for engine in ("batch", "reference"):
             with pytest.raises(ExecutionError):
-                get_engine(engine).detect_class_aliasing_batch(
+                get_engine(engine).detect_session(
                     test, prediction, 2, 4, words, fc
                 )
 

@@ -20,6 +20,7 @@ from repro.core.notation import parse_march
 from repro.core.twm import twm_transform
 from repro.engine import (
     ExecutionError,
+    PackedVerdicts,
     SymbolicEngine,
     SymbolicProgram,
     compile_march,
@@ -176,7 +177,7 @@ class TestCampaignEquivalence:
         tricky = parse_march("⇕(rc^1,wc); ⇕(wc)", name="tricky")
         faults = [StuckAtFault(Cell(0, 0), 1), StuckAtFault(Cell(1, 2), 0)]
         verdicts = {
-            engine: get_engine(engine).detect_batch(tricky, 2, 4, [0, 0], faults)
+            engine: get_engine(engine).detect_compare(tricky, 2, 4, [0, 0], faults)
             for engine in ("reference", "symbolic")
         }
         assert verdicts["reference"] == verdicts["symbolic"]
@@ -230,15 +231,6 @@ class TestWidthGenericVerdicts:
         with pytest.raises(ValueError, match="bit"):
             verdict.concretize(4, [0, 0, 0])
 
-    def test_detect_batch_width_none_returns_verdicts(self):
-        fault = StuckAtFault(Cell(0, 0), 1)
-        for width in (None, "symbolic"):
-            (verdict,) = self.engine().detect_batch(
-                TWM[8], N_WORDS, width, None, [fault]
-            )
-            assert verdict.fault is fault
-            assert verdict.concretize(8, [0] * N_WORDS) in (True, False)
-
     def test_underivable_has_no_symbolic_verdicts(self):
         bad = parse_march("⇕(rc^1,wc); ⇕(wc)", name="tricky2")
         with pytest.raises(ExecutionError, match="underivable"):
@@ -266,7 +258,7 @@ class TestWidthGenericVerdicts:
         # full-fidelity fallback as the batch engine.
         with pytest.raises(ExecutionError, match="no symbolic semantics"):
             self.engine().detect_symbolic(TWM[4], N_WORDS, [WeirdFault()])
-        verdicts = self.engine().detect_batch(
+        verdicts = self.engine().detect_compare(
             TWM[4], N_WORDS, 4, [0] * N_WORDS, [WeirdFault()]
         )
         assert verdicts == [False]
@@ -280,8 +272,8 @@ class TestWidthGenericVerdicts:
         sym = compile_symbolic(TWM[4])
         assert isinstance(sym, SymbolicProgram)
         fault = StuckAtFault(Cell(0, 0), 1)
-        a = self.engine().detect_batch(sym, N_WORDS, 4, [0] * N_WORDS, [fault])
-        b = self.engine().detect_batch(
+        a = self.engine().detect_compare(sym, N_WORDS, 4, [0] * N_WORDS, [fault])
+        b = self.engine().detect_compare(
             TWM[4], N_WORDS, 4, [0] * N_WORDS, [fault]
         )
         assert a == b
@@ -293,14 +285,14 @@ class TestSignatureModesRejected:
     def test_signature_batch_raises(self):
         twm = twm_transform(catalog.get("March C-"), 4)
         with pytest.raises(ExecutionError, match="width-concrete"):
-            get_engine("symbolic").detect_signature_batch(
+            get_engine("symbolic").detect_session(
                 twm.twmarch, twm.prediction, N_WORDS, 4, [0] * N_WORDS, []
-            )
+            ).signature
 
     def test_aliasing_batch_raises(self):
         twm = twm_transform(catalog.get("March C-"), 4)
         with pytest.raises(ExecutionError, match="width-concrete"):
-            get_engine("symbolic").detect_aliasing_batch(
+            get_engine("symbolic").detect_session(
                 twm.twmarch, twm.prediction, N_WORDS, 4, [0] * N_WORDS, []
             )
 
@@ -392,7 +384,7 @@ class TestHypothesisEquivalence:
         (verdict,) = get_engine("symbolic").detect_symbolic(
             test, n_words, [fault]
         )
-        (expected,) = get_engine("reference").detect_batch(
+        (expected,) = get_engine("reference").detect_compare(
             test, n_words, width, words, [fault]
         )
         assert verdict.concretize(width, words) == expected
@@ -412,7 +404,7 @@ class TestHypothesisEquivalence:
         rng = random.Random(seed)
         for width in WIDTHS:
             words = [rng.randrange(1 << width) for _ in range(n_words)]
-            (expected,) = get_engine("reference").detect_batch(
+            (expected,) = get_engine("reference").detect_compare(
                 test, n_words, width, words, [fault]
             )
             assert verdict.concretize(width, words) == expected, width
@@ -441,8 +433,8 @@ class TestTable2:
         class Liar(SymbolicEngine):
             name = "reference"  # masquerade as the reference column
 
-            def detect_batch(self, test, n_words, width, words, faults, **kw):
-                return [False] * len(faults)
+            def detect_compare(self, test, n_words, width, words, faults, **kw):
+                return PackedVerdicts.from_bools([False] * len(faults))
 
         from repro.engine import register_engine
 
